@@ -89,25 +89,23 @@ def _orientation_from_arcs(g: Multigraph, arcs) -> Orientation:
     return Orientation(g, tuple(flips))
 
 
+def _lines_shape(lines: int) -> _strata.CurveShape:
+    vertices = [f"v{i + 1}" for i in range(lines)]
+    pairs = [(vertices[i], vertices[j]) for i in range(lines) for j in range(i + 1, lines)]
+    return _strata.CurveShape(build_graph(vertices, pairs), 1, lines)
+
+
 def _shape_from_options(lines: int | None, input_arg: str | None) -> _strata.CurveShape:
+    """Shape from --lines N or from an input holding a shape, bare or
+    under 'shape'."""
     if (lines is None) == (input_arg is None):
         raise StrataError("provide exactly one of --lines N or an input shape")
     if lines is not None:
-        vertices = [f"v{i + 1}" for i in range(lines)]
-        pairs = [
-            (vertices[i], vertices[j])
-            for i in range(lines)
-            for j in range(i + 1, lines)
-        ]
-        return _strata.CurveShape(build_graph(vertices, pairs), 1, lines)
+        return _lines_shape(lines)
     obj = read_json_input(input_arg)
-    if isinstance(obj, dict) and "shape" in obj:
-        obj = obj["shape"]
-    g = _graph_from_any(obj)
-    try:
-        return _strata.CurveShape(g, int(obj["m"]), int(obj["n"]))
-    except KeyError as exc:
-        raise StrataError(f"shape JSON must carry 'm' and 'n': missing {exc}") from None
+    if not (isinstance(obj, dict) and "shape" in obj):
+        obj = {"shape": obj}
+    return _shape_from_obj(obj)
 
 
 def _shape_from_obj(obj) -> _strata.CurveShape:
@@ -115,15 +113,21 @@ def _shape_from_obj(obj) -> _strata.CurveShape:
     if not isinstance(obj, dict):
         raise StrataError("input must be a JSON object")
     if "lines" in obj:
-        return _shape_from_options(int(obj["lines"]), None)
-    if "shape" in obj:
-        sh = obj["shape"]
-        g = _graph_from_any(sh)
-        try:
-            return _strata.CurveShape(g, int(sh["m"]), int(sh["n"]))
-        except (KeyError, TypeError) as exc:
-            raise StrataError(f"shape JSON must carry 'm' and 'n': {exc}") from None
-    raise StrataError("input needs 'lines' or 'shape'")
+        return _lines_shape(_int_field(obj, "lines"))
+    if "shape" not in obj:
+        raise StrataError("input needs 'lines' or 'shape'")
+    sh = obj["shape"]
+    g = _graph_from_any(sh)
+    return _strata.CurveShape(g, _int_field(sh, "m"), _int_field(sh, "n"))
+
+
+def _int_field(obj: dict, key: str) -> int:
+    try:
+        return int(obj[key])
+    except KeyError:
+        raise StrataError(f"shape JSON must carry 'm' and 'n': missing {key!r}") from None
+    except TypeError:
+        raise StrataError(f"{key!r} must be an integer") from None
 
 
 def _stratum_from_obj(g: Multigraph, obj) -> _strata.StratumLabel:

@@ -31,10 +31,6 @@ def parse_rational(text) -> Fraction:
         raise StrataError(f"cannot parse rational {text!r}: {exc}") from None
 
 
-def format_rational(x: Fraction) -> str:
-    return str(x)
-
-
 # ---------------------------------------------------------------------------
 # univariate polynomials
 
@@ -155,22 +151,6 @@ def poly_content_free(vector: Sequence[QPoly]) -> tuple[QPoly, ...]:
     return tuple(cleared)
 
 
-def poly_to_str(p: QPoly, var: str = "x") -> str:
-    if not p:
-        return "0"
-    parts = []
-    for i, c in enumerate(p):
-        if c == 0:
-            continue
-        if i == 0:
-            parts.append(str(c))
-        elif i == 1:
-            parts.append(f"{c}*{var}" if c != 1 else var)
-        else:
-            parts.append(f"{c}*{var}^{i}" if c != 1 else f"{var}^{i}")
-    return " + ".join(parts)
-
-
 def rational_roots(p: QPoly) -> list[Fraction]:
     """All rational roots of a nonzero polynomial, by the rational root
     test on the primitive integer form (no multiplicity)."""
@@ -236,14 +216,6 @@ def biv_mul(a: BivarTerms, b: BivarTerms) -> BivarTerms:
             k = (i1 + i2, j1 + j2)
             out[k] = out.get(k, Fraction(0)) + c1 * c2
     return biv_clean(out)
-
-
-def biv_neg(a: BivarTerms) -> BivarTerms:
-    return {k: -v for k, v in a.items()}
-
-
-def biv_eval(a: BivarTerms, lam: Fraction, mu: Fraction) -> Fraction:
-    return sum((c * lam**i * mu**j for (i, j), c in a.items()), Fraction(0))
 
 
 # ---------------------------------------------------------------------------

@@ -349,10 +349,14 @@ def graph_from_json_obj(obj: Mapping) -> Multigraph:
         raise GraphConstructionError(f"graph JSON must have 'vertices' and 'edges': {exc}")
     if not isinstance(vertices, list) or not all(isinstance(v, str) for v in vertices):
         raise GraphConstructionError("'vertices' must be a list of strings")
+    if not isinstance(edges, (list, tuple)):
+        raise GraphConstructionError("'edges' must be a list of pairs")
     pairs = []
     for e in edges:
         if not (isinstance(e, (list, tuple)) and len(e) == 2):
             raise GraphConstructionError(f"edge entry {e!r} is not a pair")
+        if not all(isinstance(x, str) for x in e):
+            raise GraphConstructionError(f"edge entry {e!r} does not name two vertices")
         pairs.append((e[0], e[1]))
     return build_graph(vertices, pairs)
 
@@ -370,7 +374,10 @@ def divisor_to_json_obj(d: Divisor) -> dict[str, int]:
 
 
 def divisor_from_json_obj(g: Multigraph, obj: Mapping[str, int]) -> Divisor:
-    if not all(isinstance(v, int) for v in obj.values()):
+    if not isinstance(obj, Mapping):
+        raise GraphConstructionError("divisor must be an object mapping vertices to integers")
+    # bool is a subclass of int, but true/false are not divisor values
+    if not all(isinstance(v, int) and not isinstance(v, bool) for v in obj.values()):
         raise GraphConstructionError("divisor values must be integers")
     return Divisor.from_mapping(g.vertices, obj)
 

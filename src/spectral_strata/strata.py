@@ -11,6 +11,18 @@ relative multiplicity of the divisors is positive, and that multiplicity
 counts the local branches.  Around a stratum of codimension p the variety
 is a product of p nodes and a disk, so its neighbourhood carries exactly
 3^p local strata.
+
+The strata table (enumerate_strata, stratum_rows, cr_strata) comes from
+one pass over the edge subsets in bitmask order.  The generating
+polynomial of a subgraph extends that of the subgraph without its lowest
+edge, and every term carries its coefficient and one witness orientation:
+the parent term's witness plus a head for the new edge.  The labels are
+therefore indegree divisors by construction, and no flow search runs on
+them.  Three checks still run on every table: each witness's indegree is
+compared with its divisor, the witness of every interior divisor must be
+totally cyclic, and cr_strata requires the totally cyclic witnesses to
+pick the same strata as the strict subset inequalities.  Labels supplied
+by a caller are checked by max flow (_validate_stratum).
 """
 
 from __future__ import annotations
@@ -20,13 +32,14 @@ import csv as _csv
 import json
 from dataclasses import dataclass
 from math import factorial
-from typing import Mapping
+from typing import Iterator, Mapping
 
 from .errors import StrataError
 from .graphs import (
     DEFAULT_MAX_EDGES,
     Divisor,
     Multigraph,
+    Orientation,
     Subgraph,
     ensure_cap,
     generating_subgraphs,
@@ -37,7 +50,6 @@ from .indegree import (
     classify,
     enumerate_indegree,
     is_indegree,
-    multiplicity,
     relative_multiplicity,
     totally_cyclic,
 )
@@ -111,9 +123,6 @@ class StrataPoset:
         except ValueError:
             raise StrataError("stratum label is not an element of the poset") from None
 
-    def cover_labels(self) -> list[tuple[StratumLabel, StratumLabel]]:
-        return [(self.elements[a], self.elements[b]) for a, b in self.cover_relations]
-
 
 def _validate_stratum(c: CurveShape, s: StratumLabel) -> None:
     if s.subgraph.parent != c.dual_graph:
@@ -122,24 +131,104 @@ def _validate_stratum(c: CurveShape, s: StratumLabel) -> None:
         raise StrataError("stratum divisor is not an indegree divisor of its subgraph")
 
 
+def _check_dimension(dim: int) -> None:
+    if dim < 0:
+        raise StrataError(
+            f"shape admits no such stratum: dimension {dim} is negative "
+            "(more nodes than the degree bound permits)"
+        )
+
+
+def _interior_checks(g: Multigraph) -> list[tuple[list[int], list[tuple[int, int]]]]:
+    """For every connected component with two or more vertices: its
+    members, and (S, #edges inside S) for every nonempty proper subset S,
+    S as a bitmask over the members.  An indegree divisor D is interior
+    (the completely reducible class) iff D(S) > #edges inside S for all
+    of them."""
+    out = []
+    for comp in g.connected_components():
+        members = sorted(comp)
+        if len(members) < 2:
+            continue
+        pos = {x: j for j, x in enumerate(members)}
+        edge_bits = [(1 << pos[u]) | (1 << pos[v]) for u, v in g.edges if u in comp]
+        subsets = [
+            (bits, sum(1 for eb in edge_bits if eb & bits == eb))
+            for bits in range(1, (1 << len(members)) - 1)
+        ]
+        out.append((members, subsets))
+    return out
+
+
+def _strata_table(
+    c: CurveShape, max_edges: int
+) -> Iterator[tuple[Subgraph, tuple[int, ...], int, Orientation, bool]]:
+    """Every stratum as (subgraph, divisor values, multiplicity, witness,
+    interior), in (bitmask, divisor) order.
+
+    The term map of mask is the term map of mask ^ lowbit(mask) times
+    (x_u + x_v) for the lowest edge [u, v]; it maps each divisor to its
+    coefficient and a witness.  The new edge is the first edge of the
+    subgraph, so a witness is the parent's flips with one flip prepended.
+    Ascending masks visit each parent before its children, and only the
+    chain mask, mask ^ lowbit, ..., 0 stays in memory.
+    """
+    g = c.dual_graph
+    subgraphs = generating_subgraphs(g, max_edges)
+    n = g.n_vertices
+    chain: list[tuple[int, dict]] = [(0, {(0,) * n: [1, ()]})]
+    for mask, sub in enumerate(subgraphs):
+        if mask:
+            low = mask & -mask
+            while chain[-1][0] != mask ^ low:
+                chain.pop()
+            u, v = g.edges[low.bit_length() - 1]
+            terms: dict[tuple[int, ...], list] = {}
+            for expo, (coeff, flips) in chain[-1][1].items():
+                for head, flip in ((v, False), (u, True)):
+                    bumped = expo[:head] + (expo[head] + 1,) + expo[head + 1:]
+                    term = terms.get(bumped)
+                    if term is None:
+                        terms[bumped] = [coeff, (flip,) + flips]
+                    else:
+                        term[0] += coeff
+            chain.append((mask, terms))
+        terms = chain[-1][1]
+        graph = sub.as_multigraph()
+        checks = _interior_checks(graph)
+        for expo in sorted(terms):
+            coeff, flips = terms[expo]
+            heads = [0] * n
+            for (a, b), flip in zip(graph.edges, flips):
+                heads[a if flip else b] += 1
+            if tuple(heads) != expo:
+                raise AssertionError(f"witness of {expo} on edge set {mask} has another indegree")
+            interior = True
+            for members, subsets in checks:
+                # sums[S] = D(S) for every bitmask S over the members
+                sums = [0]
+                for x in members:
+                    sums += [t + expo[x] for t in sums]
+                if not all(sums[bits] > inside for bits, inside in subsets):
+                    interior = False
+                    break
+            yield sub, expo, coeff, Orientation(graph, flips), interior
+
+
 def enumerate_strata(c: CurveShape, max_edges: int = DEFAULT_MAX_EDGES) -> list[StratumLabel]:
     """All non-empty strata, ordered by subgraph bitmask then divisor."""
-    out: list[StratumLabel] = []
-    for sub in generating_subgraphs(c.dual_graph, max_edges):
-        for d in enumerate_indegree(sub.as_multigraph(), max_edges):
-            out.append(StratumLabel(sub, d))
-    return out
+    vertices = c.dual_graph.vertices
+    return [
+        StratumLabel(sub, Divisor(vertices, values))
+        for sub, values, _, _, _ in _strata_table(c, max_edges)
+    ]
 
 
 def stratum_dimension(c: CurveShape, s: StratumLabel) -> int:
     """m n (n-1)/2 minus the number of removed edges of the dual graph."""
     _validate_stratum(c, s)
     dim = c.top_dimension - c.dual_graph.n_edges + s.subgraph.n_edges
-    if dim < 0:
-        raise StrataError(
-            f"shape admits no such stratum: dimension {dim} is negative "
-            "(more nodes than the degree bound permits)"
-        )
+    _check_dimension(dim)
     return dim
 
 
@@ -166,11 +255,7 @@ def local_model(c: CurveShape, s2: StratumLabel, max_edges: int = DEFAULT_MAX_ED
     g = c.dual_graph
     p = g.n_edges - s2.subgraph.n_edges
     q = c.top_dimension - g.n_edges + s2.subgraph.n_edges
-    if q < 0:
-        raise StrataError(
-            f"shape admits no such stratum: dimension {q} is negative "
-            "(more nodes than the degree bound permits)"
-        )
+    _check_dimension(q)
     base = s2.subgraph.edge_set
     rest = sorted(set(range(g.n_edges)) - base)
     ensure_cap(len(rest), max_edges, "local_model")
@@ -259,19 +344,20 @@ def cr_strata(c: CurveShape, max_edges: int = DEFAULT_MAX_EDGES) -> list[Stratum
     """Strata whose divisor is completely reducible.  This single index
     set simultaneously labels the completely reducible locus of the
     isospectral variety and the canonical compactified-Jacobian
-    stratification; both filters are evaluated and must agree."""
-    via_witness: list[StratumLabel] = []
-    via_classify: list[StratumLabel] = []
-    for s in enumerate_strata(c, max_edges):
-        sub = s.subgraph.as_multigraph()
-        witness = is_indegree(sub, s.divisor)
-        if witness is not None and totally_cyclic(witness):
-            via_witness.append(s)
-        if classify(sub, s.divisor).tag is DivisorTag.COMPLETELY_REDUCIBLE:
-            via_classify.append(s)
-    if via_witness != via_classify:
+    stratification.  Both filters run on every stratum of the table: its
+    witness orientation is totally cyclic, and its divisor satisfies the
+    strict subset inequalities.  They must pick the same strata."""
+    via_witness: list[tuple[Subgraph, tuple[int, ...]]] = []
+    via_inequalities: list[tuple[Subgraph, tuple[int, ...]]] = []
+    for sub, values, _, witness, interior in _strata_table(c, max_edges):
+        if totally_cyclic(witness):
+            via_witness.append((sub, values))
+        if interior:
+            via_inequalities.append((sub, values))
+    if via_witness != via_inequalities:
         raise AssertionError("completely reducible index sets disagree")
-    return via_witness
+    vertices = c.dual_graph.vertices
+    return [StratumLabel(sub, Divisor(vertices, values)) for sub, values in via_witness]
 
 
 def stratum_class(c: CurveShape, s: StratumLabel) -> DivisorClass:
@@ -285,18 +371,27 @@ def stratum_class(c: CurveShape, s: StratumLabel) -> DivisorClass:
 def stratum_rows(c: CurveShape, max_edges: int = DEFAULT_MAX_EDGES) -> list[dict]:
     """Table rows for every stratum: id, edge bitmask, divisor, dimension,
     class, multiplicity (of the divisor on its subgraph)."""
+    g = c.dual_graph
     rows = []
-    for i, s in enumerate(enumerate_strata(c, max_edges)):
-        sub = s.subgraph.as_multigraph()
+    for sub, values, mult, witness, interior in _strata_table(c, max_edges):
+        dim = c.top_dimension - g.n_edges + sub.n_edges
+        _check_dimension(dim)
+        if interior:
+            # any witness of an interior divisor is totally cyclic
+            if not totally_cyclic(witness):
+                raise AssertionError("interior divisor produced a non-cyclic witness")
+            tag = DivisorTag.COMPLETELY_REDUCIBLE
+        else:
+            tag = DivisorTag.REDUCIBLE_NOT_CR
         rows.append(
             {
-                "id": i,
-                "edge_bitmask": s.subgraph.bitmask,
-                "subgraph_edges": list(s.subgraph.edge_list()),
-                "divisor": s.divisor.to_mapping(),
-                "dimension": stratum_dimension(c, s),
-                "class": stratum_class(c, s).tag.value,
-                "multiplicity": multiplicity(sub, s.divisor),
+                "id": len(rows),
+                "edge_bitmask": sub.bitmask,
+                "subgraph_edges": list(sub.edge_list()),
+                "divisor": dict(zip(g.vertices, values)),
+                "dimension": dim,
+                "class": tag.value,
+                "multiplicity": mult,
             }
         )
     return rows

@@ -1,5 +1,6 @@
 import json
 
+import pytest
 from click.testing import CliRunner
 
 from spectral_strata.cli import main
@@ -8,6 +9,7 @@ K3_GRAPH = {
     "vertices": ["v1", "v2", "v3"],
     "edges": [["v1", "v2"], ["v1", "v3"], ["v2", "v3"]],
 }
+E2_GRAPH = {"vertices": ["a", "b"], "edges": [["a", "b"]]}
 TWO_LINES = [["0", "0"], ["1", "1"]]
 ORB2 = {
     "m": 1,
@@ -235,6 +237,40 @@ class TestCliContract:
         err = json.loads(result.output.strip().splitlines()[-1])
         assert err["error"]["type"] == "GraphConstructionError"
         assert "unknown endpoint" in err["error"]["message"]
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ("graph", "bpoly", {"vertices": ["a"], "edges": 5}),
+            ("graph", "bpoly", {"vertices": ["a"], "edges": [[["a"], "a"]]}),
+            ("graph", "classify", {"graph": E2_GRAPH, "divisor": {"a": True, "b": False}}),
+            ("graph", "classify", {"graph": E2_GRAPH, "divisor": [1, 0]}),
+            ("strata", "enumerate", {**E2_GRAPH, "m": None, "n": 2}),
+            ("strata", "cr", {**E2_GRAPH, "m": None, "n": 2}),
+            ("strata", "components", {**E2_GRAPH, "m": None, "n": 2}),
+            ("strata", "local", {"lines": None, "stratum": {}}),
+        ],
+    )
+    def test_malformed_input_exits_2(self, args):
+        *command, payload = args
+        result = run(*command, json.dumps(payload))
+        assert result.exit_code == 2
+        err = json.loads(result.output.strip().splitlines()[-1])
+        assert err["error"]["type"] in ("GraphConstructionError", "StrataError")
+
+    def test_negative_dimension_exits_2(self):
+        shape = {"vertices": ["a", "b"], "edges": [["a", "b"], ["a", "b"]], "m": 1, "n": 2}
+        result = run("strata", "enumerate", json.dumps(shape))
+        assert result.exit_code == 2
+        err = json.loads(result.output.strip().splitlines()[-1])
+        assert err["error"]["message"] == (
+            "shape admits no such stratum: dimension -1 is negative "
+            "(more nodes than the degree bound permits)"
+        )
+        result = run("--max-edges", "1", "strata", "enumerate", json.dumps(shape))
+        assert result.exit_code == 2
+        err = json.loads(result.output.strip().splitlines()[-1])
+        assert err["error"]["type"] == "CapExceededError"
 
     def test_missing_file(self):
         result = run("graph", "bpoly", "no-such-file.json")

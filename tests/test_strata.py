@@ -1,24 +1,31 @@
 import json
+import random
 from collections import Counter
 
 import pytest
 from hypothesis import given
 
 from spectral_strata import (
+    CapExceededError,
     CurveShape,
     Divisor,
+    DivisorTag,
+    Multigraph,
     StrataError,
     StratumLabel,
     Subgraph,
     adjacency_multiplicity,
     build_graph,
+    classify,
     cr_strata,
     enumerate_indegree,
     enumerate_strata,
+    generating_subgraphs,
     hasse_diagram,
     hasse_to_dot,
     irreducible_components,
     local_model,
+    multiplicity,
     path_count_multiplicity,
     strata_csv,
     stratum_dimension,
@@ -26,7 +33,7 @@ from spectral_strata import (
     stratum_rows,
 )
 
-from helpers import divisor, make_e2, make_k3, make_k4, make_loop, multigraphs
+from helpers import divisor, make_e2, make_k3, make_k4, make_loop, multigraphs, pair_types
 
 
 def shape_lines(n):
@@ -326,3 +333,98 @@ class TestPosetStructure:
         for s2 in enumerate_strata(shape):
             model = local_model(shape, s2)
             assert sum(model.census.values()) == 3 ** model.p
+
+
+def seeded_multigraphs(count, max_vertices=5, max_edges=7):
+    """Seeded multigraphs; edges are drawn with replacement from all vertex
+    pairs, loops included, so parallel edges and loops both occur."""
+    rng = random.Random(20150617)
+    for _ in range(count):
+        k = rng.randint(1, max_vertices)
+        types = pair_types(k)
+        edges = sorted(rng.choice(types) for _ in range(rng.randint(0, max_edges)))
+        yield Multigraph(tuple(f"v{i + 1}" for i in range(k)), tuple(edges))
+
+
+def label_by_label(shape):
+    """Rows and CR strata by the route that treats every label on its own:
+    enumerate_indegree per subgraph, then classify, multiplicity and
+    stratum_dimension per label (two max-flow calls each)."""
+    rows, cr = [], []
+    for sub in generating_subgraphs(shape.dual_graph):
+        g = sub.as_multigraph()
+        for d in enumerate_indegree(g):
+            s = StratumLabel(sub, d)
+            tag = classify(g, d).tag
+            rows.append(
+                {
+                    "id": len(rows),
+                    "edge_bitmask": sub.bitmask,
+                    "subgraph_edges": list(sub.edge_list()),
+                    "divisor": d.to_mapping(),
+                    "dimension": stratum_dimension(shape, s),
+                    "class": tag.value,
+                    "multiplicity": multiplicity(g, d),
+                }
+            )
+            if tag is DivisorTag.COMPLETELY_REDUCIBLE:
+                cr.append(s)
+    return rows, cr
+
+
+class TestTableAgainstLabelByLabel:
+    @pytest.mark.parametrize("lines", [1, 2, 3, 4])
+    def test_lines(self, lines):
+        shape = shape_lines(lines)
+        rows, cr = label_by_label(shape)
+        assert stratum_rows(shape) == rows
+        assert cr_strata(shape) == cr
+        assert enumerate_strata(shape) == [
+            label(shape, r["subgraph_edges"], tuple(r["divisor"].values())) for r in rows
+        ]
+
+    def test_seeded_multigraphs(self):
+        family = list(seeded_multigraphs(100))
+        assert any(u == v for g in family for u, v in g.edges)
+        assert any(len(set(g.edges)) < g.n_edges for g in family)
+        for g in family:
+            shape = CurveShape(g, max(g.n_edges, 1), 2)
+            rows, cr = label_by_label(shape)
+            assert stratum_rows(shape) == rows
+            assert cr_strata(shape) == cr
+
+    def test_many_vertices_few_edges(self):
+        # the interior test works per component, not over all vertex subsets
+        vertices = [f"x{i}" for i in range(24)]
+        g = build_graph(vertices, [("x0", "x1"), ("x2", "x3"), ("x2", "x3"), ("x4", "x4")])
+        shape = CurveShape(g, g.n_edges, 2)
+        rows, cr = label_by_label(shape)
+        assert stratum_rows(shape) == rows
+        assert cr_strata(shape) == cr
+
+    def test_negative_dimension_message(self):
+        g = build_graph(["a", "b"], [("a", "b"), ("a", "b")])
+        with pytest.raises(StrataError) as info:
+            stratum_rows(CurveShape(g, 1, 2))
+        assert str(info.value) == (
+            "shape admits no such stratum: dimension -1 is negative "
+            "(more nodes than the degree bound permits)"
+        )
+
+    def test_cap_error_precedes_negative_dimension(self):
+        g = build_graph(["a", "b"], [("a", "b"), ("a", "b")])
+        with pytest.raises(CapExceededError):
+            stratum_rows(CurveShape(g, 1, 2), max_edges=1)
+
+    def test_no_flow_calls(self, monkeypatch):
+        # the table proves its labels by construction; a max-flow call on
+        # them would be repeated work
+        from spectral_strata import indegree
+
+        def no_flow(*args):
+            raise AssertionError("max flow called on a label the table enumerated")
+
+        monkeypatch.setattr(indegree, "_max_flow_orientation", no_flow)
+        shape = shape_lines(4)
+        assert len(stratum_rows(shape)) == len(enumerate_strata(shape)) == 624
+        assert len(cr_strata(shape)) > 0
