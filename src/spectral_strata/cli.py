@@ -136,7 +136,12 @@ def _stratum_from_obj(g: Multigraph, obj) -> _strata.StratumLabel:
     edges = obj.get("subgraph", obj.get("subgraph_edges"))
     if edges is None or "divisor" not in obj:
         raise StrataError("stratum JSON needs 'subgraph' (edge indices) and 'divisor'")
-    sub = Subgraph(g, frozenset(int(e) for e in edges))
+    # bool is a subclass of int, but true/false are not edge indices
+    if not isinstance(edges, list) or not all(
+        isinstance(e, int) and not isinstance(e, bool) for e in edges
+    ):
+        raise StrataError("stratum 'subgraph' must be a list of integer edge indices")
+    sub = Subgraph(g, frozenset(edges))
     return _strata.StratumLabel(sub, divisor_from_json_obj(g, obj["divisor"]))
 
 

@@ -2,6 +2,14 @@
 rationals, and exact linear algebra (rank, nullspace, polynomial-matrix
 determinants and adjugate kernels).
 
+Rational roots come from the squarefree part of the polynomial: its real
+roots are isolated by a Sturm chain evaluated on integers at dyadic
+points, each root's interval is bisected until it holds at most one
+fraction whose denominator divides the leading coefficient, that fraction
+is found with Fraction.limit_denominator, and it is kept only when the
+polynomial vanishes at it exactly.  No float is used, and the work is
+polynomial in the bit length of the coefficients.
+
 Univariate polynomials are coefficient tuples in ascending degree with no
 trailing zeros; the zero polynomial is the empty tuple.  Bivariate
 polynomials are dicts mapping (i, j) exponent pairs to nonzero Fractions.
@@ -151,37 +159,124 @@ def poly_content_free(vector: Sequence[QPoly]) -> tuple[QPoly, ...]:
     return tuple(cleared)
 
 
+def _primitive(ints: list[int]) -> list[int]:
+    """Divide an integer vector by the (positive) gcd of its entries."""
+    g = math.gcd(*ints)
+    return [c // g for c in ints]
+
+
+def _integer_form(p: QPoly) -> list[int]:
+    """p times a positive rational: coprime integer coefficients with the
+    same signs, so the same roots and the same sign at every point."""
+    denom = math.lcm(*(c.denominator for c in p))
+    return _primitive([c.numerator * (denom // c.denominator) for c in p])
+
+
+def _neg_prem(a: list[int], b: list[int]) -> list[int]:
+    """-(a mod b) times a positive rational, as a primitive integer vector
+    (empty when b divides a).  With b's sign chosen so its leading
+    coefficient is positive, each elimination step scales the remainder by
+    that coefficient, so no division and no sign flip happens on the way."""
+    if b[-1] < 0:
+        b = [-c for c in b]
+    r = list(a)
+    while len(r) >= len(b):
+        top, shift = r[-1], len(r) - len(b)
+        r = [c * b[-1] for c in r]
+        for i, c in enumerate(b):
+            r[shift + i] -= top * c
+        while r and r[-1] == 0:
+            r.pop()
+    return [-c for c in _primitive(r)] if r else []
+
+
+def _sturm_chain(ints: list[int]) -> list[list[int]]:
+    """p, p', then negated remainders, each a primitive integer vector.
+    The last member is gcd(p, p') up to a positive factor."""
+    chain = [ints, _primitive([i * c for i, c in enumerate(ints)][1:])]
+    while len(chain[-1]) > 1:
+        r = _neg_prem(chain[-2], chain[-1])
+        if not r:
+            break
+        chain.append(r)
+    return chain
+
+
+def _sign_changes(chain: list[list[int]], m: int, k: int) -> int:
+    """Sign changes along the chain at x = m / 2^k, zeros skipped.  Each
+    member is evaluated as 2^(k d) p(x) by homogeneous Horner on integers,
+    which has the sign of p(x)."""
+    changes, last = 0, 0
+    for coeffs in chain:
+        d = len(coeffs) - 1
+        v = coeffs[d]
+        for i in range(d - 1, -1, -1):
+            v = v * m + (coeffs[i] << (k * (d - i)))
+        if v:
+            if last and (v > 0) != (last > 0):
+                changes += 1
+            last = v
+    return changes
+
+
+def _root_bound_exponent(ints: list[int]) -> int:
+    """e >= 0 with every complex root of modulus below 2^e: Fujiwara's
+    bound 2 max_i |a_(d-i) / a_d|^(1/i), rounded up through bit lengths."""
+    d = len(ints) - 1
+    lead_bits = abs(ints[d]).bit_length()
+    e = 0
+    for i in range(1, d + 1):
+        if ints[d - i]:
+            bits = abs(ints[d - i]).bit_length() - lead_bits + 1
+            e = max(e, 1 - (-bits // i))
+    return e
+
+
 def rational_roots(p: QPoly) -> list[Fraction]:
-    """All rational roots of a nonzero polynomial, by the rational root
-    test on the primitive integer form (no multiplicity)."""
+    """All rational roots of a nonzero polynomial, sorted, without
+    multiplicity.
+
+    After the zero root is split off, q is the squarefree part p / gcd(p, p')
+    as a primitive integer polynomial with leading coefficient a.  A
+    rational root of q has a denominator dividing a, and two such numbers
+    lie at least 1/a^2 apart.  The real roots are isolated by a Sturm chain
+    of q, evaluated on integers at dyadic points, bisecting half-open
+    intervals from Fujiwara's bound until each interval that holds a root
+    is narrower than 1/(2 a^2).  The only candidate there is the fraction
+    with denominator at most |a| nearest the midpoint (limit_denominator),
+    kept when it lies in the interval and q vanishes at it exactly.  The
+    work is polynomial in the bit length of the coefficients.
+    """
     if not p:
         raise StrataError("zero polynomial has every root")
-    denom = 1
-    for c in p:
-        denom = denom * c.denominator // math.gcd(denom, c.denominator)
-    ints = [int(c * denom) for c in p]
-    while ints and ints[0] == 0:
-        ints.pop(0)
-    shift_zero = len(p) - len(ints)
-    roots = set()
-    if shift_zero > 0:
-        roots.add(Fraction(0))
-    if ints:
-        a0, an = abs(ints[0]), abs(ints[-1])
-
-        def divisors(x: int) -> list[int]:
-            out = []
-            for d in range(1, int(math.isqrt(x)) + 1):
-                if x % d == 0:
-                    out.extend((d, x // d))
-            return sorted(set(out))
-
-        for num in divisors(a0):
-            for den in divisors(an):
-                for s in (1, -1):
-                    cand = Fraction(s * num, den)
-                    if poly_eval(p, cand) == 0:
-                        roots.add(cand)
+    low = next(i for i, c in enumerate(p) if c)
+    roots = [Fraction(0)] if low else []
+    q = _integer_form(p[low:])
+    if len(q) == 1:
+        return roots
+    chain = _sturm_chain(q)
+    if len(chain[-1]) > 1:  # repeated roots: isolate those of the squarefree part
+        q = _integer_form(poly_divmod(poly(q), poly(chain[-1]))[0])
+        chain = _sturm_chain(q)
+    lead = abs(q[-1])
+    target = 2 * lead * lead
+    # (lo / 2^k, hi / 2^k] holds V(lo) - V(hi) distinct real roots
+    e = _root_bound_exponent(q)
+    lo, hi = -1 << e, 1 << e
+    pending = [(lo, hi, 0, _sign_changes(chain, lo, 0), _sign_changes(chain, hi, 0))]
+    while pending:
+        lo, hi, k, v_lo, v_hi = pending.pop()
+        if v_lo == v_hi:
+            continue
+        if (hi - lo) * target < 1 << k:
+            cand = Fraction(lo + hi, 1 << (k + 1)).limit_denominator(lead)
+            if Fraction(lo, 1 << k) < cand <= Fraction(hi, 1 << k) and poly_eval(q, cand) == 0:
+                roots.append(cand)
+            continue
+        mid, k = lo + hi, k + 1
+        v_mid = _sign_changes(chain, mid, k)
+        pending.append((2 * lo, mid, k, v_lo, v_mid))
+        pending.append((mid, 2 * hi, k, v_mid, v_hi))
     return sorted(roots)
 
 

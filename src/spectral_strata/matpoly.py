@@ -317,6 +317,12 @@ def eigen_line_data(p: MatrixPolynomial, c: SpectralLineArrangement) -> tuple[Ei
     """Eigenvector data for every line.  The kernel over the rational
     function field must be one-dimensional on each line."""
     _check_char_matches(p, c)
+    return _eigen_line_data(p, c)
+
+
+def _eigen_line_data(
+    p: MatrixPolynomial, c: SpectralLineArrangement
+) -> tuple[EigenLineData, ...]:
     out = []
     for i in range(c.n):
         mat = _line_matrix(p, c, i)
@@ -339,6 +345,10 @@ def gamma_of(p: MatrixPolynomial, c: SpectralLineArrangement) -> Subgraph:
     the eigenspace there is one-dimensional, drop it when it is
     two-dimensional."""
     _check_char_matches(p, c)
+    return _gamma(p, c)
+
+
+def _gamma(p: MatrixPolynomial, c: SpectralLineArrangement) -> Subgraph:
     kept = set()
     for k, (lam, mu, _, _) in enumerate(c.nodes):
         mat = p.evaluate(lam)
@@ -358,16 +368,23 @@ def gamma_of(p: MatrixPolynomial, c: SpectralLineArrangement) -> Subgraph:
 def divisor_of(p: MatrixPolynomial, c: SpectralLineArrangement) -> Divisor:
     """Divisor on the dual graph: per line, the maximal entry degree of the
     coprime polynomial eigenvector."""
-    data = eigen_line_data(p, c)
+    _check_char_matches(p, c)
+    return _divisor(p, c)
+
+
+def _divisor(p: MatrixPolynomial, c: SpectralLineArrangement) -> Divisor:
+    data = _eigen_line_data(p, c)
     return Divisor(c.dual_graph.vertices, tuple(d.dual_degree for d in data))
 
 
 def classify_polynomial(p: MatrixPolynomial, c: SpectralLineArrangement) -> StratumLabel:
     """Stratum label (eigenvector subgraph, divisor) of a matrix
-    polynomial.  The divisor is always an indegree divisor on the
-    subgraph, which is asserted."""
-    sub = gamma_of(p, c)
-    d = divisor_of(p, c)
+    polynomial.  The characteristic polynomial is checked against the
+    arrangement once, here.  The divisor is always an indegree divisor on
+    the subgraph, which is asserted."""
+    _check_char_matches(p, c)
+    sub = _gamma(p, c)
+    d = _divisor(p, c)
     if is_indegree(sub.as_multigraph(), d) is None:
         raise AssertionError("computed divisor is not an indegree divisor of the subgraph")
     return StratumLabel(sub, d)

@@ -1,3 +1,5 @@
+import os
+
 import hypothesis
 
 hypothesis.settings.register_profile(
@@ -6,4 +8,4 @@ hypothesis.settings.register_profile(
 hypothesis.settings.register_profile(
     "thorough", max_examples=400, deadline=None
 )
-hypothesis.settings.load_profile("default")
+hypothesis.settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))

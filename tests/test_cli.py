@@ -11,6 +11,9 @@ K3_GRAPH = {
 }
 E2_GRAPH = {"vertices": ["a", "b"], "edges": [["a", "b"]]}
 TWO_LINES = [["0", "0"], ["1", "1"]]
+# divisors of one edge on three lines: edge 0 is v1-v2, edge 1 is v1-v3
+V2_ONE = {"v1": 0, "v2": 1, "v3": 0}
+V3_ONE = {"v1": 0, "v2": 0, "v3": 1}
 ORB2 = {
     "m": 1,
     "n": 2,
@@ -203,6 +206,12 @@ class TestMatpolyCommands:
         out = json.loads(run_ok("matpoly", "reducibility", json.dumps(ORB2)))
         assert out == {"reducibility": "reducible_not_cr"}
 
+    def test_reducibility_ten_digit_slopes(self):
+        lead = [["1000000007", "0"], ["0", "1000000009"]]
+        payload = {"coeffs": [[["3", "0"], ["0", "-4"]], lead]}
+        out = json.loads(run_ok("matpoly", "reducibility", json.dumps(payload)))
+        assert out == {"reducibility": "completely_reducible"}
+
     def test_sample_round_trip(self):
         payload = json.dumps(
             {
@@ -249,6 +258,23 @@ class TestCliContract:
             ("strata", "cr", {**E2_GRAPH, "m": None, "n": 2}),
             ("strata", "components", {**E2_GRAPH, "m": None, "n": 2}),
             ("strata", "local", {"lines": None, "stratum": {}}),
+            ("strata", "local", {"lines": 2, "stratum": {"subgraph": 5, "divisor": {}}}),
+            ("strata", "local", {"lines": 3, "stratum": {"subgraph": [0.7], "divisor": V2_ONE}}),
+            ("strata", "local", {"lines": 3, "stratum": {"subgraph": ["0"], "divisor": V2_ONE}}),
+            ("strata", "local", {"lines": 3, "stratum": {"subgraph": [True], "divisor": V3_ONE}}),
+            (
+                "strata",
+                "adjacency",
+                {
+                    "lines": 3,
+                    "upper": {"subgraph": {"0": 1}, "divisor": V2_ONE},
+                    "lower": {"subgraph": [], "divisor": {"v1": 0, "v2": 0, "v3": 0}},
+                },
+            ),
+            (
+                "sample",
+                {"lines": TWO_LINES, "subgraph": [0.0], "divisor": {"v1": 0, "v2": 1}, "params": ["5"]},
+            ),
         ],
     )
     def test_malformed_input_exits_2(self, args):

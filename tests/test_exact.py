@@ -110,6 +110,65 @@ class TestRationalRoots:
         assert rational_roots(poly([-2, 0, 1])) == []
 
 
+@st.composite
+def polys_with_known_roots(draw):
+    """(p, roots): p is a product of factors whose rational roots are known
+    from their construction, so the oracle shares no code with
+    rational_roots."""
+    scalar = draw(st.sampled_from((-1, 1))) * F(
+        draw(st.integers(1, 1000)), draw(st.integers(1, 1000))
+    )
+    p, roots = poly([scalar]), set()
+    linear = draw(
+        st.lists(
+            st.tuples(st.integers(-10**12, 10**12), st.integers(1, 10**6)), max_size=4
+        )
+    )
+    for a, b in linear:  # b x + a
+        p = poly_mul(p, poly([a, b]))
+        roots.add(F(-a, b))
+    quadratics = draw(
+        st.lists(
+            # small coefficients, so that square discriminants are common
+            st.tuples(st.integers(-30, 30), st.integers(-30, 30), st.integers(1, 6)),
+            max_size=2,
+        )
+    )
+    for c, b, a in quadratics:  # a x^2 + b x + c
+        p = poly_mul(p, poly([c, b, a]))
+        root = sqrt_rational(F(b * b - 4 * a * c))
+        if root is not None:
+            roots |= {(-b + root) / (2 * a), (-b - root) / (2 * a)}
+    if linear and draw(st.booleans()):
+        a, b = draw(st.sampled_from(linear))
+        p = poly_mul(p, poly([a, b]))
+    if draw(st.booleans()):
+        p = poly_mul(p, poly([0, 1]))
+        roots.add(F(0))
+    return p, sorted(roots)
+
+
+class TestRationalRootsOracle:
+    @given(polys_with_known_roots())
+    def test_matches_known_factors(self, case):
+        p, roots = case
+        assert rational_roots(p) == roots
+
+    def test_large_and_repeated_roots(self):
+        # (3x - 7)(5x + 2) and (x - 10^9)^2 (x + 1/2) through the same oracle
+        assert rational_roots(poly_mul(poly([-7, 3]), poly([2, 5]))) == [F(-2, 5), F(7, 3)]
+        sq = poly_mul(poly([-(10**9), 1]), poly([-(10**9), 1]))
+        assert rational_roots(poly_mul(sq, poly([F(1, 2), 1]))) == [F(-1, 2), F(10**9)]
+
+    def test_double_roots_at_bisection_points(self):
+        # small integers are dyadic, so the bisection lands on the double root
+        for r1 in range(-9, 10):
+            for r2 in range(-9, 10):
+                double = poly_mul(poly([-r1, 1]), poly([-r1, 1]))
+                p = poly_mul(double, poly([-r2, 1]))
+                assert rational_roots(p) == sorted({F(r1), F(r2)})
+
+
 class TestSqrtRational:
     def test_square(self):
         assert sqrt_rational(F(9, 4)) == F(3, 2)

@@ -1,4 +1,5 @@
 import json
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -251,6 +252,29 @@ class TestClassifyPolynomial:
             p = sample_stratum(arr, s, ["1", "2", "3"])
             assert classify_polynomial(p, arr) == s
 
+    def test_char_mismatch_rejected(self):
+        arr = two_lines()
+        other = line_arrangement([("0", "0"), ("2", "1")])
+        for public in (classify_polynomial, divisor_of, eigen_line_data):
+            with pytest.raises(StrataError):
+                public(orb1(other), arr)
+        with pytest.raises(StrataError):
+            classify_polynomial(orb1(arr), three_lines())
+
+    def test_one_char_poly_per_classification(self, monkeypatch):
+        from spectral_strata import matpoly
+
+        calls = []
+
+        def counted(p):
+            calls.append(p)
+            return char_poly(p)
+
+        monkeypatch.setattr(matpoly, "char_poly", counted)
+        arr = two_lines()
+        assert classify_polynomial(orb2(arr), arr).divisor.values == (0, 1)
+        assert len(calls) == 1
+
 
 class TestReducibility:
     def test_two_lines_orbits(self):
@@ -277,6 +301,19 @@ class TestReducibility:
         p = matrix_polynomial([[[0, 0], [0, 0]], [[1, 0], [0, 1]]])
         with pytest.raises(StrataError):
             reducibility(p)
+
+    @pytest.mark.parametrize(
+        "slopes", [(1000000007, 1000000009), (100003, 100019, 100043)]
+    )
+    def test_large_prime_slopes_within_budget(self, slopes):
+        n = len(slopes)
+        diag = [[b if i == j else 0 for j in range(n)] for i, b in enumerate(slopes)]
+        a0 = [[i + 1 if i == j else 0 for j in range(n)] for i in range(n)]
+        start = time.perf_counter()
+        got = reducibility(matrix_polynomial([a0, diag]))
+        elapsed = time.perf_counter() - start
+        assert got is Reducibility.COMPLETELY_REDUCIBLE
+        assert elapsed < 1.0, f"reducibility took {elapsed:.2f}s"
 
 
 class TestInteriorCubic:
