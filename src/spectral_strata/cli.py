@@ -21,7 +21,7 @@ from .graphs import (
     Multigraph,
     Orientation,
     Subgraph,
-    build_graph,
+    complete_graph,
     divisor_from_json_obj,
     graph_from_json_obj,
     indeg,
@@ -90,9 +90,7 @@ def _orientation_from_arcs(g: Multigraph, arcs) -> Orientation:
 
 
 def _lines_shape(lines: int) -> _strata.CurveShape:
-    vertices = [f"v{i + 1}" for i in range(lines)]
-    pairs = [(vertices[i], vertices[j]) for i in range(lines) for j in range(i + 1, lines)]
-    return _strata.CurveShape(build_graph(vertices, pairs), 1, lines)
+    return _strata.CurveShape(complete_graph(lines), 1, lines)
 
 
 def _shape_from_options(lines: int | None, input_arg: str | None) -> _strata.CurveShape:
@@ -226,7 +224,7 @@ def _zonotope_graph(complete: int | None, input_arg: str | None) -> Multigraph:
     if (complete is None) == (input_arg is None):
         raise StrataError("provide exactly one of --complete N or an input graph")
     if complete is not None:
-        return _zonotope.permutohedron(complete).graph
+        return _zonotope.permutohedron_graph(complete)
     return _graph_from_any(read_json_input(input_arg))
 
 
@@ -467,9 +465,12 @@ def sample(input_arg: str) -> None:
     obj = read_json_input(input_arg)
     if "lines" not in obj:
         raise StrataError("sample input needs 'lines'")
-    c = _matpoly.line_arrangement(obj["lines"])
+    c = _matpoly.arrangement_from_json_obj(obj)
     label = _stratum_from_obj(c.dual_graph, obj)
-    p = _matpoly.sample_stratum(c, label, obj.get("params", []))
+    params = obj.get("params", [])
+    if not isinstance(params, list):
+        raise StrataError("sample 'params' must be a list of nonzero rationals")
+    p = _matpoly.sample_stratum(c, label, params)
     click.echo(_dumps(_matpoly.matpoly_to_json_obj(p)))
 
 

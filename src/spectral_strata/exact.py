@@ -31,6 +31,8 @@ def parse_rational(text) -> Fraction:
     """Parse 'p/q' or integer-like input into a Fraction."""
     if isinstance(text, Fraction):
         return text
+    if isinstance(text, bool):
+        raise StrataError(f"cannot parse rational {text!r}: a boolean is not a number")
     if isinstance(text, int):
         return Fraction(text)
     try:

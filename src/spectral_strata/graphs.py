@@ -287,6 +287,12 @@ def build_graph(vertex_ids: Sequence[str], edge_pairs: Sequence[tuple[str, str]]
     return Multigraph(vertices, tuple(edges))
 
 
+def complete_graph(n: int) -> Multigraph:
+    """K_n on v1..vn with edges (i, j), i < j, in lexicographic order."""
+    pairs = tuple((i, j) for i in range(n) for j in range(i + 1, n))
+    return Multigraph(tuple(f"v{i + 1}" for i in range(n)), pairs)
+
+
 def indeg(o: Orientation) -> Divisor:
     """Indegree divisor of a full orientation: value at v counts directed
     edges with head v.  Its degree is the number of edges."""

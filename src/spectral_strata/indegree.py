@@ -109,18 +109,28 @@ class IndegPolynomial:
         return json.dumps(self.to_json_obj())
 
 
+def _times_edge(terms: dict[tuple[int, ...], list], u: int, v: int) -> dict[tuple[int, ...], list]:
+    """A term map (exponent -> [coefficient, witness flips]) times
+    (x_u + x_v).  The new edge's flip (True: head u) goes in front of each
+    witness, so folding edges last to first lines flips up with edges."""
+    out: dict[tuple[int, ...], list] = {}
+    for expo, (coeff, flips) in terms.items():
+        for head, flip in ((v, False), (u, True)):
+            bumped = expo[:head] + (expo[head] + 1,) + expo[head + 1:]
+            term = out.get(bumped)
+            if term is None:
+                out[bumped] = [coeff, (flip,) + flips]
+            else:
+                term[0] += coeff
+    return out
+
+
 @lru_cache(maxsize=512)
 def _bpoly_terms(g: Multigraph) -> dict[tuple[int, ...], int]:
-    n = g.n_vertices
-    terms: dict[tuple[int, ...], int] = {(0,) * n: 1}
-    for u, v in g.edges:
-        nxt: dict[tuple[int, ...], int] = {}
-        for expo, coeff in terms.items():
-            for h in (u, v):
-                bumped = expo[:h] + (expo[h] + 1,) + expo[h + 1:]
-                nxt[bumped] = nxt.get(bumped, 0) + coeff
-        terms = nxt
-    return terms
+    terms = {(0,) * g.n_vertices: [1, ()]}
+    for u, v in reversed(g.edges):
+        terms = _times_edge(terms, u, v)
+    return {expo: coeff for expo, (coeff, _) in terms.items()}
 
 
 def b_polynomial(g: Multigraph, max_edges: int = DEFAULT_MAX_EDGES) -> IndegPolynomial:

@@ -37,7 +37,7 @@ from .exact import (
     rational_roots,
     sqrt_rational,
 )
-from .graphs import Divisor, Multigraph, Subgraph, all_orientations, build_graph, indeg
+from .graphs import Divisor, Multigraph, Subgraph, all_orientations, complete_graph, indeg
 from .indegree import is_indegree
 from .strata import StratumLabel
 
@@ -257,9 +257,7 @@ def line_arrangement(lines: Sequence[Sequence]) -> SpectralLineArrangement:
     points = [(lam, mu) for lam, mu, _, _ in nodes]
     if len(set(points)) != len(points):
         raise ArrangementError("three or more lines pass through one point (not nodal)")
-    vertices = [f"v{i + 1}" for i in range(n)]
-    dual = build_graph(vertices, [(vertices[i], vertices[j]) for _, _, i, j in nodes])
-    return SpectralLineArrangement(parsed, tuple(nodes), dual)
+    return SpectralLineArrangement(parsed, tuple(nodes), complete_graph(n))
 
 
 def arrangement_product(c: SpectralLineArrangement) -> BivariatePolynomial:
@@ -620,10 +618,19 @@ def matpoly_from_json_obj(obj: Mapping) -> MatrixPolynomial:
         coeffs = obj["coeffs"]
     except (KeyError, TypeError):
         raise StrataError("matrix polynomial JSON must have 'coeffs'") from None
+    if not (
+        isinstance(coeffs, list)
+        and all(isinstance(mat, list) and all(isinstance(row, list) for row in mat) for mat in coeffs)
+    ):
+        raise StrataError("'coeffs' must be a list of matrices, each a list of rows")
     p = matrix_polynomial(coeffs)
-    if "m" in obj and int(obj["m"]) != p.m:
+    for key in ("m", "n"):
+        # bool is a subclass of int, but true/false are not sizes
+        if key in obj and (not isinstance(obj[key], int) or isinstance(obj[key], bool)):
+            raise StrataError(f"{key!r} must be an integer")
+    if "m" in obj and obj["m"] != p.m:
         raise StrataError(f"declared degree {obj['m']} does not match {p.m}")
-    if "n" in obj and int(obj["n"]) != p.n:
+    if "n" in obj and obj["n"] != p.n:
         raise StrataError(f"declared size {obj['n']} does not match {p.n}")
     return p
 
@@ -637,6 +644,8 @@ def arrangement_from_json_obj(obj: Mapping) -> SpectralLineArrangement:
         lines = obj["lines"]
     except (KeyError, TypeError):
         raise StrataError("arrangement JSON must have 'lines'") from None
+    if not (isinstance(lines, list) and all(isinstance(x, list) and len(x) == 2 for x in lines)):
+        raise StrataError("'lines' must be a list of [intercept, slope] pairs")
     return line_arrangement(lines)
 
 

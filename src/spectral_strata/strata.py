@@ -12,17 +12,19 @@ counts the local branches.  Around a stratum of codimension p the variety
 is a product of p nodes and a disk, so its neighbourhood carries exactly
 3^p local strata.
 
-The strata table (enumerate_strata, stratum_rows, cr_strata) comes from
-one pass over the edge subsets in bitmask order.  The generating
-polynomial of a subgraph extends that of the subgraph without its lowest
-edge, and every term carries its coefficient and one witness orientation:
-the parent term's witness plus a head for the new edge.  The labels are
-therefore indegree divisors by construction, and no flow search runs on
-them.  Three checks still run on every table: each witness's indegree is
-compared with its divisor, the witness of every interior divisor must be
-totally cyclic, and cr_strata requires the totally cyclic witnesses to
-pick the same strata as the strict subset inequalities.  Labels supplied
-by a caller are checked by max flow (_validate_stratum).
+One walk over an edge-subset lattice (_walk) serves five readers.  In
+bitmask order it builds the term map of x^D times the product of
+(x_u + x_v) over a subset from the map of the subset without its lowest
+edge, by the step b_polynomial also folds; every term carries its
+coefficient and a witness orientation whose indegree is checked.
+enumerate_strata, stratum_rows, cr_strata and hasse_diagram (covers from
+the (bitmask, divisor) keys) walk all edges from D = 0; local_model walks
+the edges outside a stratum from its divisor, so its coefficients are
+relative multiplicities.  Only stratum_rows and cr_strata compute
+interior flags (strict subset inequalities) and check them against the
+totally cyclic witnesses.  irreducible_components reads b_polynomial, as
+its top row is one chain of e steps.  No flow search runs on these
+labels; labels from a caller are checked by max flow (_validate_stratum).
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ import csv as _csv
 import json
 from dataclasses import dataclass
 from math import factorial
-from typing import Iterator, Mapping
+from typing import Iterator, Mapping, Sequence
 
 from .errors import StrataError
 from .graphs import (
@@ -47,6 +49,7 @@ from .graphs import (
 from .indegree import (
     DivisorClass,
     DivisorTag,
+    _times_edge,
     classify,
     enumerate_indegree,
     is_indegree,
@@ -90,9 +93,6 @@ class StratumLabel:
                 "divisor degree must equal the subgraph edge count "
                 f"({self.divisor.degree} != {self.subgraph.n_edges})"
             )
-
-    def key(self) -> tuple[int, tuple[int, ...]]:
-        return (self.subgraph.bitmask, self.divisor.values)
 
 
 @dataclass(frozen=True)
@@ -160,49 +160,47 @@ def _interior_checks(g: Multigraph) -> list[tuple[list[int], list[tuple[int, int
     return out
 
 
-def _strata_table(
-    c: CurveShape, max_edges: int
-) -> Iterator[tuple[Subgraph, tuple[int, ...], int, Orientation, bool]]:
-    """Every stratum as (subgraph, divisor values, multiplicity, witness,
-    interior), in (bitmask, divisor) order.
-
-    The term map of mask is the term map of mask ^ lowbit(mask) times
-    (x_u + x_v) for the lowest edge [u, v]; it maps each divisor to its
-    coefficient and a witness.  The new edge is the first edge of the
-    subgraph, so a witness is the parent's flips with one flip prepended.
-    Ascending masks visit each parent before its children, and only the
-    chain mask, mask ^ lowbit, ..., 0 stays in memory.
-    """
-    g = c.dual_graph
-    subgraphs = generating_subgraphs(g, max_edges)
-    n = g.n_vertices
-    chain: list[tuple[int, dict]] = [(0, {(0,) * n: [1, ()]})]
-    for mask, sub in enumerate(subgraphs):
+def _walk(g: Multigraph, edges: Sequence[int], base: tuple[int, ...]) -> Iterator[dict]:
+    """For each mask over the positions in edges, ascending: the term map
+    (exponent -> [coefficient, witness flips]) of x^base times (x_u + x_v)
+    over the masked edges, built from the map at mask ^ lowbit(mask) with
+    only the chain of parents in memory.  Every witness's indegree plus
+    base is checked against its exponent."""
+    chain: list[tuple[int, dict]] = [(0, {base: [1, ()]})]
+    for mask in range(1 << len(edges)):
         if mask:
             low = mask & -mask
             while chain[-1][0] != mask ^ low:
                 chain.pop()
-            u, v = g.edges[low.bit_length() - 1]
-            terms: dict[tuple[int, ...], list] = {}
-            for expo, (coeff, flips) in chain[-1][1].items():
-                for head, flip in ((v, False), (u, True)):
-                    bumped = expo[:head] + (expo[head] + 1,) + expo[head + 1:]
-                    term = terms.get(bumped)
-                    if term is None:
-                        terms[bumped] = [coeff, (flip,) + flips]
-                    else:
-                        term[0] += coeff
-            chain.append((mask, terms))
+            u, v = g.edges[edges[low.bit_length() - 1]]
+            chain.append((mask, _times_edge(chain[-1][1], u, v)))
         terms = chain[-1][1]
+        pairs = [g.edges[e] for i, e in enumerate(edges) if mask >> i & 1]
+        for expo, (_, flips) in terms.items():
+            heads = list(base)
+            for (a, b), flip in zip(pairs, flips):
+                heads[a if flip else b] += 1
+            if tuple(heads) != expo:
+                raise AssertionError(f"witness of {expo} on edge set {mask} has another indegree")
+        yield terms
+
+
+def _full_walk(g: Multigraph, max_edges: int) -> Iterator[tuple[Subgraph, dict]]:
+    """(subgraph, term map) for every generating subgraph, by bitmask."""
+    subgraphs = generating_subgraphs(g, max_edges)
+    return zip(subgraphs, _walk(g, range(g.n_edges), (0,) * g.n_vertices))
+
+
+def _strata_table(
+    c: CurveShape, max_edges: int
+) -> Iterator[tuple[Subgraph, tuple[int, ...], int, Orientation, bool]]:
+    """Every stratum as (subgraph, divisor values, multiplicity, witness,
+    interior), in (bitmask, divisor) order."""
+    for sub, terms in _full_walk(c.dual_graph, max_edges):
         graph = sub.as_multigraph()
         checks = _interior_checks(graph)
         for expo in sorted(terms):
             coeff, flips = terms[expo]
-            heads = [0] * n
-            for (a, b), flip in zip(graph.edges, flips):
-                heads[a if flip else b] += 1
-            if tuple(heads) != expo:
-                raise AssertionError(f"witness of {expo} on edge set {mask} has another indegree")
             interior = True
             for members, subsets in checks:
                 # sums[S] = D(S) for every bitmask S over the members
@@ -219,8 +217,9 @@ def enumerate_strata(c: CurveShape, max_edges: int = DEFAULT_MAX_EDGES) -> list[
     """All non-empty strata, ordered by subgraph bitmask then divisor."""
     vertices = c.dual_graph.vertices
     return [
-        StratumLabel(sub, Divisor(vertices, values))
-        for sub, values, _, _, _ in _strata_table(c, max_edges)
+        StratumLabel(sub, Divisor(vertices, expo))
+        for sub, terms in _full_walk(c.dual_graph, max_edges)
+        for expo in sorted(terms)
     ]
 
 
@@ -248,9 +247,9 @@ def adjacency_multiplicity(c: CurveShape, s1: StratumLabel, s2: StratumLabel) ->
 
 def local_model(c: CurveShape, s2: StratumLabel, max_edges: int = DEFAULT_MAX_EDGES) -> LocalModel:
     """Census of the 3^p local strata in a neighbourhood of s2, keyed by the
-    global strata they belong to and ordered by (subgraph bitmask, divisor)."""
-    from .indegree import _bpoly_terms
-
+    global strata they belong to and ordered by (subgraph bitmask, divisor).
+    It is the walk over the p edges outside s2 from the divisor of s2: each
+    coefficient is a relative multiplicity along s2."""
     _validate_stratum(c, s2)
     g = c.dual_graph
     p = g.n_edges - s2.subgraph.n_edges
@@ -259,18 +258,13 @@ def local_model(c: CurveShape, s2: StratumLabel, max_edges: int = DEFAULT_MAX_ED
     base = s2.subgraph.edge_set
     rest = sorted(set(range(g.n_edges)) - base)
     ensure_cap(len(rest), max_edges, "local_model")
-    vertices = g.vertices
-    base_values = s2.divisor.values
     census: dict[StratumLabel, int] = {}
     # ascending masks over the rest bits give ascending full bitmasks, so
     # the census comes out in canonical order without re-sorting
-    for mask in range(1 << len(rest)):
-        extra = frozenset(rest[i] for i in range(len(rest)) if mask >> i & 1)
-        sub1 = Subgraph(g, base | extra)
-        diff = Multigraph(vertices, tuple(g.edges[i] for i in sorted(extra)))
-        for delta in sorted(terms := _bpoly_terms(diff)):
-            shifted = tuple(a + b for a, b in zip(base_values, delta))
-            census[StratumLabel(sub1, Divisor(vertices, shifted))] = terms[delta]
+    for mask, terms in enumerate(_walk(g, rest, s2.divisor.values)):
+        sub1 = Subgraph(g, base.union(e for i, e in enumerate(rest) if mask >> i & 1))
+        for expo in sorted(terms):
+            census[StratumLabel(sub1, Divisor(g.vertices, expo))] = terms[expo][0]
     total = sum(census.values())
     if total != 3 ** p:
         raise AssertionError(f"local census sums to {total}, expected 3^{p}")
@@ -287,28 +281,24 @@ def irreducible_components(c: CurveShape, max_edges: int = DEFAULT_MAX_EDGES) ->
 
 def hasse_diagram(g: Multigraph, max_edges: int = DEFAULT_MAX_EDGES) -> StrataPoset:
     """Poset of pairs (generating subgraph, indegree divisor) on a loopless
-    graph, with covers adding one oriented edge."""
+    graph, with covers adding one oriented edge; both are read off the
+    (bitmask, exponent) keys of the walk over all edges."""
     if any(u == v for u, v in g.edges):
         raise StrataError("hasse_diagram requires a loopless graph")
-    elements = [
-        StratumLabel(sub, d)
-        for sub in generating_subgraphs(g, max_edges)
-        for d in enumerate_indegree(sub.as_multigraph(), max_edges)
-    ]
-    index = {s.key(): i for i, s in enumerate(elements)}
+    elements: list[StratumLabel] = []
+    index: dict[tuple[int, tuple[int, ...]], int] = {}
+    for mask, (sub, terms) in enumerate(_full_walk(g, max_edges)):
+        for expo in sorted(terms):
+            index[mask, expo] = len(elements)
+            elements.append(StratumLabel(sub, Divisor(g.vertices, expo)))
     covers: list[tuple[int, int]] = []
-    for i, s in enumerate(elements):
-        present = s.subgraph.edge_set
-        for e in range(g.n_edges):
-            if e in present:
+    for (mask, expo), i in index.items():
+        for e, (u, v) in enumerate(g.edges):
+            if mask >> e & 1:
                 continue
-            u, v = g.edges[e]
-            upper_sub = present | {e}
-            for head in sorted({u, v}):
-                bumped = list(s.divisor.values)
-                bumped[head] += 1
-                j = index[(s.subgraph.bitmask | (1 << e), tuple(bumped))]
-                covers.append((i, j))
+            for head in (u, v):
+                bumped = expo[:head] + (expo[head] + 1,) + expo[head + 1:]
+                covers.append((i, index[mask | 1 << e, bumped]))
     covers.sort()
     return StrataPoset(tuple(elements), tuple(covers))
 

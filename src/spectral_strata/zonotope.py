@@ -20,7 +20,7 @@ from .graphs import (
     Divisor,
     Multigraph,
     all_orientations,
-    build_graph,
+    complete_graph,
     ensure_cap,
     indeg,
 )
@@ -119,14 +119,16 @@ def is_interior(g: Multigraph, d: Divisor) -> bool:
     return classify(g, d).tag is DivisorTag.COMPLETELY_REDUCIBLE
 
 
-def permutohedron(n: int) -> GraphicalZonotope:
-    """Zonotope of the complete graph on n vertices (1 <= n <= 6)."""
+def permutohedron_graph(n: int) -> Multigraph:
+    """K_n, whose zonotope is the permutohedron (1 <= n <= 6)."""
     if not 1 <= n <= 6:
         raise StrataError(f"permutohedron size {n} out of range 1..6")
-    vertices = [f"v{i + 1}" for i in range(n)]
-    pairs = [(vertices[i], vertices[j]) for i in range(n) for j in range(i + 1, n)]
-    g = build_graph(vertices, pairs)
-    return graphical_zonotope(g)
+    return complete_graph(n)
+
+
+def permutohedron(n: int) -> GraphicalZonotope:
+    """Zonotope of the complete graph on n vertices (1 <= n <= 6)."""
+    return graphical_zonotope(permutohedron_graph(n))
 
 
 def graphical_zonotope(g: Multigraph, max_edges: int = DEFAULT_MAX_EDGES) -> GraphicalZonotope:

@@ -275,6 +275,17 @@ class TestCliContract:
                 "sample",
                 {"lines": TWO_LINES, "subgraph": [0.0], "divisor": {"v1": 0, "v2": 1}, "params": ["5"]},
             ),
+            ("matpoly", "reducibility", {"coeffs": 5}),
+            ("matpoly", "reducibility", {"coeffs": [5]}),
+            ("matpoly", "reducibility", {"coeffs": [[["1"]]], "m": None}),
+            ("matpoly", "reducibility", {"coeffs": [[[True]]]}),
+            ("matpoly", "classify", json.dumps(ORB2), "--arrangement", {"lines": 5}),
+            ("matpoly", "classify", json.dumps(ORB2), "--arrangement", {"lines": [[True, 1], ["0", "0"]]}),
+            ("sample", {"lines": 5, "subgraph": [], "divisor": {}}),
+            (
+                "sample",
+                {"lines": TWO_LINES, "subgraph": [0], "divisor": {"v1": 0, "v2": 1}, "params": 5},
+            ),
         ],
     )
     def test_malformed_input_exits_2(self, args):

@@ -217,3 +217,14 @@ class TestSerialisation:
         out = to_dot(g, Orientation(g, (True,)))
         assert "digraph G {" in out
         assert '"v2" -> "v1";' in out
+
+
+class TestCompleteGraph:
+    def test_matches_build_graph(self):
+        from spectral_strata.graphs import complete_graph
+
+        for n in range(6):
+            names = [f"v{i + 1}" for i in range(n)]
+            pairs = [(names[i], names[j]) for i in range(n) for j in range(i + 1, n)]
+            assert complete_graph(n) == build_graph(names, pairs)
+        assert complete_graph(-1) == build_graph([], [])

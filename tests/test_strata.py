@@ -27,11 +27,14 @@ from spectral_strata import (
     local_model,
     multiplicity,
     path_count_multiplicity,
+    relative_multiplicity,
     strata_csv,
     stratum_dimension,
     stratum_report_json_obj,
     stratum_rows,
 )
+
+from spectral_strata.graphs import complete_graph
 
 from helpers import divisor, make_e2, make_k3, make_k4, make_loop, multigraphs, pair_types
 
@@ -335,13 +338,14 @@ class TestPosetStructure:
             assert sum(model.census.values()) == 3 ** model.p
 
 
-def seeded_multigraphs(count, max_vertices=5, max_edges=7):
+def seeded_multigraphs(count, max_vertices=5, max_edges=7, loops=True):
     """Seeded multigraphs; edges are drawn with replacement from all vertex
-    pairs, loops included, so parallel edges and loops both occur."""
+    pairs, loops included unless disabled, so parallel edges and loops
+    both occur."""
     rng = random.Random(20150617)
     for _ in range(count):
-        k = rng.randint(1, max_vertices)
-        types = pair_types(k)
+        k = rng.randint(1 if loops else 2, max_vertices)
+        types = pair_types(k, loops)
         edges = sorted(rng.choice(types) for _ in range(rng.randint(0, max_edges)))
         yield Multigraph(tuple(f"v{i + 1}" for i in range(k)), tuple(edges))
 
@@ -370,6 +374,42 @@ def label_by_label(shape):
             if tag is DivisorTag.COMPLETELY_REDUCIBLE:
                 cr.append(s)
     return rows, cr
+
+
+def hasse_by_labels(g):
+    """Elements and covers by the route that treats every subgraph on its
+    own: enumerate_indegree per generating subgraph, and covers adding one
+    oriented edge, looked up by (bitmask, divisor)."""
+    elements = [
+        StratumLabel(sub, d)
+        for sub in generating_subgraphs(g)
+        for d in enumerate_indegree(sub.as_multigraph())
+    ]
+    index = {(s.subgraph.bitmask, s.divisor.values): i for i, s in enumerate(elements)}
+    covers = []
+    for i, s in enumerate(elements):
+        for e in set(range(g.n_edges)) - s.subgraph.edge_set:
+            for head in g.edges[e]:
+                bumped = list(s.divisor.values)
+                bumped[head] += 1
+                covers.append((i, index[(s.subgraph.bitmask | 1 << e, tuple(bumped))]))
+    return tuple(elements), tuple(sorted(covers))
+
+
+def census_by_labels(shape, s2):
+    """The local census at s2 as (label, relative_multiplicity) items, over
+    every label on a supersubgraph whose divisor dominates that of s2."""
+    out = []
+    for sub in generating_subgraphs(shape.dual_graph):
+        if not sub.contains(s2.subgraph):
+            continue
+        for d in enumerate_indegree(sub.as_multigraph()):
+            if not s2.divisor.pointwise_le(d):
+                continue
+            mult = relative_multiplicity(sub, d, s2.subgraph, s2.divisor)
+            if mult:
+                out.append((StratumLabel(sub, d), mult))
+    return out
 
 
 class TestTableAgainstLabelByLabel:
@@ -428,3 +468,46 @@ class TestTableAgainstLabelByLabel:
         shape = shape_lines(4)
         assert len(stratum_rows(shape)) == len(enumerate_strata(shape)) == 624
         assert len(cr_strata(shape)) > 0
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_hasse_complete_graphs(self, n):
+        g = complete_graph(n)
+        poset = hasse_diagram(g)
+        assert (poset.elements, poset.cover_relations) == hasse_by_labels(g)
+
+    def test_hasse_seeded_multigraphs(self):
+        family = list(seeded_multigraphs(60, loops=False))
+        assert any(len(set(g.edges)) < g.n_edges for g in family)
+        for g in family:
+            poset = hasse_diagram(g)
+            assert (poset.elements, poset.cover_relations) == hasse_by_labels(g)
+
+    @pytest.mark.parametrize("lines", [1, 2, 3])
+    def test_local_census_lines(self, lines):
+        shape = shape_lines(lines)
+        for s2 in enumerate_strata(shape):
+            assert list(local_model(shape, s2).census.items()) == census_by_labels(shape, s2)
+
+    def test_local_census_seeded_multigraphs(self):
+        # at most 5 edges: the reference route costs two flow calls per pair
+        family = list(seeded_multigraphs(100, max_edges=5))
+        assert any(u == v for g in family for u, v in g.edges)
+        assert any(len(set(g.edges)) < g.n_edges for g in family)
+        for g in family:
+            shape = CurveShape(g, max(g.n_edges, 1), 2)
+            for s2 in enumerate_strata(shape):
+                assert list(local_model(shape, s2).census.items()) == census_by_labels(shape, s2)
+
+    def test_no_bpoly_calls(self, monkeypatch):
+        # the Hasse diagram and the local census read the walk over the
+        # edge subsets; a b-polynomial per subgraph would be repeated work
+        from spectral_strata import indegree
+
+        def no_bpoly(*args):
+            raise AssertionError("b-polynomial rebuilt for a subgraph the walk visits")
+
+        monkeypatch.setattr(indegree, "_bpoly_terms", no_bpoly)
+        assert len(hasse_diagram(complete_graph(4)).elements) == 624
+        shape = shape_lines(4)
+        model = local_model(shape, label(shape, (), (0, 0, 0, 0)))
+        assert sum(model.census.values()) == 3 ** 6
