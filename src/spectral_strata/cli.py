@@ -121,11 +121,13 @@ def _shape_from_obj(obj) -> _strata.CurveShape:
 
 def _int_field(obj: dict, key: str) -> int:
     try:
-        return int(obj[key])
+        value = obj[key]
     except KeyError:
         raise StrataError(f"shape JSON must carry 'm' and 'n': missing {key!r}") from None
-    except TypeError:
-        raise StrataError(f"{key!r} must be an integer") from None
+    # bool is a subclass of int, but true/false are not sizes
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise StrataError(f"{key!r} must be an integer")
+    return value
 
 
 def _stratum_from_obj(g: Multigraph, obj) -> _strata.StratumLabel:
@@ -243,12 +245,12 @@ def zonotope() -> None:
 def zonotope_points(max_edges: int, input_arg, complete, count, fmt) -> None:
     """Lattice points of the graphical zonotope."""
     g = _zonotope_graph(complete, input_arg)
+    if fmt == "csv" and not count:
+        click.echo(_zonotope.lattice_csv(g, max_edges), nl=False)
+        return
     points = _zonotope.lattice_points(g, max_edges)
     if count:
         click.echo(str(len(points)))
-        return
-    if fmt == "csv":
-        click.echo(_zonotope.lattice_csv(g, max_edges), nl=False)
         return
     click.echo(_dumps([d.to_mapping() for d in points]))
 

@@ -2,6 +2,10 @@
 rationals, and exact linear algebra (rank, nullspace, polynomial-matrix
 determinants and adjugate kernels).
 
+One memoised cofactor expansion along a row gives the determinant and a
+column of the adjugate at once; polynomial-matrix determinants, adjugate
+kernels and matpoly's characteristic polynomial all read it.
+
 Rational roots come from the squarefree part of the polynomial: its real
 roots are isolated by a Sturm chain evaluated on integers at dyadic
 points, each root's interval is bisected until it holds at most one
@@ -75,10 +79,6 @@ def poly_add(p: QPoly, q: QPoly) -> QPoly:
 
 def poly_neg(p: QPoly) -> QPoly:
     return tuple(-c for c in p)
-
-
-def poly_sub(p: QPoly, q: QPoly) -> QPoly:
-    return poly_add(p, poly_neg(q))
 
 
 def poly_mul(p: QPoly, q: QPoly) -> QPoly:
@@ -306,6 +306,10 @@ def biv_add(a: BivarTerms, b: BivarTerms) -> BivarTerms:
     return biv_clean(out)
 
 
+def biv_neg(a: BivarTerms) -> BivarTerms:
+    return {k: -v for k, v in a.items()}
+
+
 def biv_mul(a: BivarTerms, b: BivarTerms) -> BivarTerms:
     out: BivarTerms = {}
     for (i1, j1), c1 in a.items():
@@ -408,33 +412,52 @@ def det(matrix: Matrix) -> Fraction:
 # ---------------------------------------------------------------------------
 # matrices of univariate polynomials
 
-def poly_matrix_det(matrix: Sequence[Sequence[QPoly]]) -> QPoly:
-    """Determinant of a square polynomial matrix, by expansion along the
-    first column with memoisation over (row offset, column subset)."""
+def cofactor_expansion(matrix: Sequence[Sequence], row: int, zero, one, mul, add, neg):
+    """Laplace expansion over a commutative ring (zero and zero entries
+    falsy) along `row`, then the other rows in order, memoised over (row
+    offset, column subset).  Returns the determinant and the cofactors of
+    `row`, which are the adjugate's column `row`."""
     n = len(matrix)
     if n == 0:
-        return poly_const(1)
-    cache: dict[tuple[int, int], QPoly] = {}
+        return one, []
+    rows = [r for r in range(n) if r != row]
+    cache: dict[tuple[int, int], object] = {}
 
-    def minor(row: int, colmask: int) -> QPoly:
+    def minor(k: int, colmask: int):
         if colmask == 0:
-            return poly_const(1)
-        key = (row, colmask)
+            return one
+        key = (k, colmask)
         if key in cache:
             return cache[key]
+        acc = zero
         cols = [c for c in range(n) if colmask >> c & 1]
-        acc = ZERO_POLY
-        for k, col in enumerate(cols):
-            entry = matrix[row][col]
-            if not entry:
-                continue
-            sub = minor(row + 1, colmask & ~(1 << col))
-            term = poly_mul(entry, sub)
-            acc = poly_add(acc, term) if k % 2 == 0 else poly_sub(acc, term)
+        for pos, col in enumerate(cols):
+            entry = matrix[rows[k]][col]
+            if entry:
+                term = mul(entry, minor(k + 1, colmask & ~(1 << col)))
+                acc = add(acc, neg(term) if pos % 2 else term)
         cache[key] = acc
         return acc
 
-    return minor(0, (1 << n) - 1)
+    full = (1 << n) - 1
+    total, cofactors = zero, []
+    for col in range(n):
+        cof = minor(0, full & ~(1 << col))
+        if (row + col) % 2:
+            cof = neg(cof)
+        cofactors.append(cof)
+        if matrix[row][col]:
+            total = add(total, mul(matrix[row][col], cof))
+    return total, cofactors
+
+
+_POLY_RING = (ZERO_POLY, poly_const(1), poly_mul, poly_add, poly_neg)
+
+
+def poly_matrix_det(matrix: Sequence[Sequence[QPoly]]) -> QPoly:
+    """Determinant of a square polynomial matrix, by cofactor expansion
+    along the first row."""
+    return cofactor_expansion(matrix, 0, *_POLY_RING)[0]
 
 
 def poly_matrix_kernel_vector(matrix: Sequence[Sequence[QPoly]]) -> tuple[QPoly, ...]:
@@ -443,7 +466,9 @@ def poly_matrix_kernel_vector(matrix: Sequence[Sequence[QPoly]]) -> tuple[QPoly,
     function field is size-1 (unique eigendirection).
 
     The adjugate transposes cofactors, and M adj(M) = det(M) Id = 0, so any
-    nonzero adjugate column spans the kernel.  Raises when the adjugate is
+    nonzero adjugate column spans the kernel.  One expansion along row 0
+    gives the determinant and adjugate column 0; rows 1, 2, ... are
+    expanded only while that column is zero.  Raises when the adjugate is
     zero (kernel dimension at least two) or the determinant is nonzero.
     """
     n = len(matrix)
@@ -451,19 +476,10 @@ def poly_matrix_kernel_vector(matrix: Sequence[Sequence[QPoly]]) -> tuple[QPoly,
         if matrix[0][0]:
             raise StrataError("nonzero 1x1 matrix has trivial kernel")
         return (poly_const(1),)
-    if poly_matrix_det(matrix):
-        raise StrataError("matrix has nonzero determinant; kernel is trivial")
-
-    def cofactor(i: int, j: int) -> QPoly:
-        rows = [r for r in range(n) if r != i]
-        cols = [c for c in range(n) if c != j]
-        sub = [[matrix[r][c] for c in cols] for r in rows]
-        val = poly_matrix_det(sub)
-        return poly_neg(val) if (i + j) % 2 else val
-
-    for col in range(n):
-        # column col of adj(M): entries cofactor(col, row) for each row
-        column = [cofactor(col, row) for row in range(n)]
+    for row in range(n):
+        total, column = cofactor_expansion(matrix, row, *_POLY_RING)
+        if row == 0 and total:
+            raise StrataError("matrix has nonzero determinant; kernel is trivial")
         if any(column):
             return poly_content_free(column)
     raise StrataError("adjugate vanishes: kernel dimension is at least two")

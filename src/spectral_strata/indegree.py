@@ -387,48 +387,50 @@ def relative_multiplicity(
 # ---------------------------------------------------------------------------
 # classification
 
+def _arc_lists(o: Orientation) -> tuple[list[list[int]], list[list[int]]]:
+    """Out-neighbour and in-neighbour lists of every vertex."""
+    n = o.graph.n_vertices
+    fwd: list[list[int]] = [[] for _ in range(n)]
+    bwd: list[list[int]] = [[] for _ in range(n)]
+    for t, h in o.arcs():
+        fwd[t].append(h)
+        bwd[h].append(t)
+    return fwd, bwd
+
+
+def _reach(adj: list[list[int]], start: int) -> set[int]:
+    seen = {start}
+    stack = [start]
+    while stack:
+        for y in adj[stack.pop()]:
+            if y not in seen:
+                seen.add(y)
+                stack.append(y)
+    return seen
+
+
 def strongly_connected(o: Orientation) -> bool:
     """Every ordered vertex pair is joined by a directed path."""
-    g = o.graph
-    n = g.n_vertices
+    n = o.graph.n_vertices
     if n <= 1:
         return True
-    fwd: dict[int, set[int]] = {i: set() for i in range(n)}
-    bwd: dict[int, set[int]] = {i: set() for i in range(n)}
-    for t, h in o.arcs():
-        fwd[t].add(h)
-        bwd[h].add(t)
-
-    def reach(adj: dict[int, set[int]]) -> set[int]:
-        seen = {0}
-        stack = [0]
-        while stack:
-            x = stack.pop()
-            for y in adj[x]:
-                if y not in seen:
-                    seen.add(y)
-                    stack.append(y)
-        return seen
-
-    return len(reach(fwd)) == n and len(reach(bwd)) == n
+    fwd, bwd = _arc_lists(o)
+    return len(_reach(fwd, 0)) == n and len(_reach(bwd, 0)) == n
 
 
 def totally_cyclic(o: Orientation) -> bool:
-    """Every edge lies on a directed cycle; equivalently the restriction to
-    each connected component is strongly connected.  Loops always lie on
-    their own one-edge cycle."""
-    g = o.graph
-    for comp in g.connected_components():
-        comp_edges = [i for i in range(g.n_edges) if g.edges[i][0] in comp]
-        verts = sorted(comp)
-        pos = {v: i for i, v in enumerate(verts)}
-        sub = Multigraph(
-            tuple(g.vertices[v] for v in verts),
-            tuple((pos[g.edges[i][0]], pos[g.edges[i][1]]) for i in comp_edges),
-        )
-        restricted = Orientation(sub, tuple(o.flips[i] for i in comp_edges))
-        if not strongly_connected(restricted):
-            return False
+    """Every edge lies on a directed cycle; equivalently each connected
+    component is strongly connected.  Loops lie on their own cycle.
+    Forward and backward reach from v are equal exactly when they are v's
+    strong component and no arc enters or leaves it, so v's component."""
+    fwd, bwd = _arc_lists(o)
+    reached: set[int] = set()
+    for v in range(o.graph.n_vertices):
+        if v not in reached:
+            comp = _reach(fwd, v)
+            if _reach(bwd, v) != comp:
+                return False
+            reached |= comp
     return True
 
 

@@ -22,6 +22,8 @@ from .exact import (
     QPoly,
     biv_add,
     biv_mul,
+    biv_neg,
+    cofactor_expansion,
     det,
     nullspace,
     parse_rational,
@@ -154,38 +156,13 @@ def char_poly(p: MatrixPolynomial) -> BivariatePolynomial:
     for i in range(n):
         row = []
         for j in range(n):
-            terms: BivarTerms = {}
-            for k, mat in enumerate(p.coefficients):
-                if mat[i][j] != 0:
-                    terms[(k, 0)] = terms.get((k, 0), Fraction(0)) + mat[i][j]
+            terms = {(k, 0): mat[i][j] for k, mat in enumerate(p.coefficients) if mat[i][j]}
             if i == j:
-                terms[(0, 1)] = terms.get((0, 1), Fraction(0)) - 1
-            row.append({k: v for k, v in terms.items() if v != 0})
+                terms[(0, 1)] = Fraction(-1)
+            row.append(terms)
         entries.append(row)
-
-    cache: dict[tuple[int, int], BivarTerms] = {}
-
-    def minor(row_idx: int, colmask: int) -> BivarTerms:
-        if colmask == 0:
-            return {(0, 0): Fraction(1)}
-        key = (row_idx, colmask)
-        if key in cache:
-            return cache[key]
-        cols = [c for c in range(n) if colmask >> c & 1]
-        acc: BivarTerms = {}
-        for k, col in enumerate(cols):
-            entry = entries[row_idx][col]
-            if not entry:
-                continue
-            sub = minor(row_idx + 1, colmask & ~(1 << col))
-            term = biv_mul(entry, sub)
-            if k % 2:
-                term = {kk: -vv for kk, vv in term.items()}
-            acc = biv_add(acc, term)
-        cache[key] = acc
-        return acc
-
-    return BivariatePolynomial(minor(0, (1 << n) - 1))
+    total, _ = cofactor_expansion(entries, 0, {}, {(0, 0): Fraction(1)}, biv_mul, biv_add, biv_neg)
+    return BivariatePolynomial(total)
 
 
 def check_leading_condition(

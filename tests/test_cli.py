@@ -95,6 +95,20 @@ class TestZonotopeCommands:
         out = run_ok("zonotope", "points", json.dumps(K3_GRAPH), "--format", "csv")
         assert out == lattice_csv(graph_from_json_obj(K3_GRAPH))
 
+    def test_points_csv_computes_lattice_points_once(self, monkeypatch):
+        from spectral_strata import zonotope
+
+        calls = []
+        lattice_points = zonotope.lattice_points
+
+        def counted(*args):
+            calls.append(args)
+            return lattice_points(*args)
+
+        monkeypatch.setattr(zonotope, "lattice_points", counted)
+        run_ok("zonotope", "points", "--complete", "4", "--format", "csv")
+        assert len(calls) == 1
+
     def test_points_json(self):
         out = json.loads(run_ok("zonotope", "points", json.dumps(K3_GRAPH)))
         assert {"v1": 1, "v2": 1, "v3": 1} in out
@@ -286,6 +300,12 @@ class TestCliContract:
                 "sample",
                 {"lines": TWO_LINES, "subgraph": [0], "divisor": {"v1": 0, "v2": 1}, "params": 5},
             ),
+            ("strata", "local", {"lines": True, "stratum": {"subgraph": [], "divisor": {}}}),
+            ("strata", "local", {"lines": "2", "stratum": {"subgraph": [], "divisor": {}}}),
+            ("strata", "local", {"lines": 2.7, "stratum": {"subgraph": [], "divisor": {}}}),
+            ("strata", "components", {**E2_GRAPH, "m": True, "n": 2}),
+            ("strata", "components", {**E2_GRAPH, "m": 1, "n": "2"}),
+            ("strata", "enumerate", {**E2_GRAPH, "m": 1, "n": 2.0}),
         ],
     )
     def test_malformed_input_exits_2(self, args):

@@ -1,8 +1,11 @@
+import random
 from fractions import Fraction as F
+from itertools import permutations
 
 import pytest
 from hypothesis import given, strategies as st
 
+from spectral_strata import exact
 from spectral_strata.errors import StrataError
 from spectral_strata.exact import (
     det,
@@ -203,19 +206,138 @@ class TestLinearAlgebra:
         assert det([[F(1), F(2)], [F(2), F(4)]]) == 0
 
 
-class TestPolyMatrices:
-    @given(
-        st.lists(
-            st.lists(small_polys(max_degree=2), min_size=2, max_size=2),
-            min_size=2,
-            max_size=2,
-        ),
-        rationals,
+def square_poly_matrices():
+    return st.integers(1, 5).flatmap(
+        lambda n: st.lists(
+            st.lists(small_polys(max_degree=2), min_size=n, max_size=n),
+            min_size=n,
+            max_size=n,
+        )
     )
+
+
+def random_poly(rng):
+    """Degree at most 2, possibly zero."""
+    return poly([rng.randint(-3, 3) for _ in range(rng.randint(0, 3))])
+
+
+def random_rows(rng, count, n):
+    return [[random_poly(rng) for _ in range(n)] for _ in range(count)]
+
+
+def combination(rng, rows):
+    """A random combination of the rows with nonzero polynomial
+    coefficients."""
+    n = len(rows[0])
+    out = [()] * n
+    for row in rows:
+        c = poly([rng.randint(-3, 3), rng.choice([-2, -1, 1, 2])])
+        out = [poly_add(a, poly_mul(c, b)) for a, b in zip(out, row)]
+    return out
+
+
+def leibniz_det(matrix):
+    """Determinant as the signed sum over permutations."""
+    n = len(matrix)
+    total = ()
+    for perm in permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        term = poly([-1 if inversions % 2 else 1])
+        for r, c in enumerate(perm):
+            term = poly_mul(term, matrix[r][c])
+        total = poly_add(total, term)
+    return total
+
+
+def leibniz_adjugate_column(matrix, col):
+    """Column col of adj(M): entry j is (-1)^(col+j) det(M without row col
+    and column j)."""
+    n = len(matrix)
+    out = []
+    for j in range(n):
+        sub = [[matrix[r][c] for c in range(n) if c != j] for r in range(n) if r != col]
+        minor = leibniz_det(sub)
+        out.append(poly_mul(poly([-1]), minor) if (col + j) % 2 else minor)
+    return out
+
+
+def rank_deficient(rng, n, drop):
+    """An n x n matrix with n - drop random rows; the others are random
+    combinations of them."""
+    rows = random_rows(rng, n - drop, n)
+    return rows + [combination(rng, rows) for _ in range(drop)]
+
+
+class TestPolyMatrices:
+    @given(square_poly_matrices(), rationals)
     def test_det_commutes_with_evaluation(self, entries, x):
         symbolic = poly_matrix_det(entries)
         numeric = det([[poly_eval(e, x) for e in row] for row in entries])
         assert poly_eval(symbolic, x) == numeric
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_expansion_gives_leibniz_det_and_adjugate_column(self, n):
+        mat = random_rows(random.Random(n), n, n)
+        for row in range(n):
+            total, column = exact.cofactor_expansion(
+                mat, row, (), poly([1]), poly_mul, poly_add, exact.poly_neg
+            )
+            assert total == leibniz_det(mat)
+            assert column == leibniz_adjugate_column(mat, row)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("fallback", [False, True])
+    def test_kernel_matches_leibniz_adjugate(self, n, seed, fallback):
+        rng = random.Random(1000 * n + seed)
+        if fallback:
+            # rows n-2 and n-1 are equal, so every cofactor of rows
+            # 0 .. n-3 vanishes and the kernel comes from row n-2
+            rows = random_rows(rng, n - 1, n)
+            mat, first = rows + [rows[-1]], n - 2
+        else:
+            mat, first = rank_deficient(rng, n, 1), 0
+        columns = [leibniz_adjugate_column(mat, c) for c in range(n)]
+        assert leibniz_det(mat) == ()
+        assert next(c for c in range(n) if any(columns[c])) == first
+        vec = poly_matrix_kernel_vector(mat)
+        assert vec == poly_content_free(columns[first])
+        for row in mat:
+            acc = ()
+            for a, b in zip(row, vec):
+                acc = poly_add(acc, poly_mul(a, b))
+            assert acc == ()
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_kernel_rejects_full_rank_and_rank_n_minus_2(self, n):
+        rng = random.Random(n)
+        full = random_rows(rng, n, n)
+        assert leibniz_det(full) != ()
+        with pytest.raises(StrataError, match="^matrix has nonzero determinant; kernel is trivial$"):
+            poly_matrix_kernel_vector(full)
+        low = rank_deficient(rng, n, 2)
+        assert not any(any(leibniz_adjugate_column(low, c)) for c in range(n))
+        with pytest.raises(StrataError, match="^adjugate vanishes: kernel dimension is at least two$"):
+            poly_matrix_kernel_vector(low)
+
+    def test_kernel_runs_one_expansion(self, monkeypatch):
+        calls = {"expansion": 0, "det": 0}
+        expand, full_det = exact.cofactor_expansion, exact.poly_matrix_det
+
+        def counted_expansion(*args):
+            calls["expansion"] += 1
+            return expand(*args)
+
+        def counted_det(matrix):
+            calls["det"] += 1
+            return full_det(matrix)
+
+        monkeypatch.setattr(exact, "cofactor_expansion", counted_expansion)
+        monkeypatch.setattr(exact, "poly_matrix_det", counted_det)
+        mat = rank_deficient(random.Random(4), 4, 1)
+        assert any(leibniz_adjugate_column(mat, 0))
+        poly_matrix_kernel_vector(mat)
+        assert calls == {"expansion": 1, "det": 0}
 
     def test_kernel_of_singular_matrix(self):
         # rows are proportional: (x, x^2), (1, x)

@@ -1,4 +1,5 @@
 import json
+import random
 from itertools import permutations
 
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import given
 from spectral_strata import (
     Divisor,
     DivisorTag,
+    Multigraph,
     StrataError,
     Subgraph,
     all_orientations,
@@ -256,6 +258,46 @@ class TestClassify:
         cls = classify(g, divisor(g, 0, 1), debug=True)
         assert cls.tag is DivisorTag.REDUCIBLE_NOT_CR
         assert not cls.irreducible and not cls.completely_reducible
+
+    def test_totally_cyclic_matches_definition(self):
+        # every arc (t, h) has t reachable from h, over every orientation
+        # of seeded multigraphs with loops, parallel edges, isolated
+        # vertices and several components
+        seen = set()
+        for seed in range(40):
+            rng = random.Random(seed)
+            k = rng.randint(1, 6)
+            edges = sorted(
+                tuple(sorted((rng.randrange(k), rng.randrange(k))))
+                for _ in range(rng.randint(0, 6))
+            )
+            g = Multigraph(tuple(f"v{i}" for i in range(k)), tuple(edges))
+            features = {
+                "loop": any(u == v for u, v in edges),
+                "parallel": len(set(edges)) < len(edges),
+                "isolated": len({x for e in edges for x in e}) < k,
+                "components": sum(len(c) > 1 for c in g.connected_components()) > 1,
+            }
+            seen.update(name for name, present in features.items() if present)
+            for o in all_orientations(g):
+                out = {v: [] for v in range(k)}
+                for t, h in o.arcs():
+                    out[t].append(h)
+
+                def reachable(a, b):
+                    stack, visited = [a], {a}
+                    while stack:
+                        for y in out[stack.pop()]:
+                            if y not in visited:
+                                visited.add(y)
+                                stack.append(y)
+                    return b in visited
+
+                assert totally_cyclic(o) == all(reachable(h, t) for t, h in o.arcs())
+                assert strongly_connected(o) == all(
+                    reachable(a, b) for a in range(k) for b in range(k)
+                )
+        assert seen >= {"loop", "parallel", "isolated", "components"}
 
     def test_edgeless_graph_zero_divisor(self):
         g = build_graph(["v1", "v2", "v3"], [])

@@ -35,8 +35,10 @@ from spectral_strata import (
     sample_stratum,
     tau,
 )
-from spectral_strata.exact import poly_add, poly_mul
+from spectral_strata.exact import det, poly_add, poly_mul
 from spectral_strata.strata import CurveShape
+
+SMALL_RATIONALS = st.fractions(min_value=-5, max_value=5, max_denominator=4)
 
 TWO_LINES = [("0", "0"), ("1", "1")]  # mu = 0 and mu = 1 + lambda
 THREE_LINES = [("0", "0"), ("1", "1"), ("0", "2")]
@@ -91,6 +93,27 @@ class TestCharPoly:
         zero = [[0] * n for _ in range(n)]
         with pytest.raises(StrataError):
             char_poly(matrix_polynomial([zero]))
+
+    @given(
+        st.integers(0, 2).flatmap(
+            lambda m: st.integers(1, 4).flatmap(
+                lambda n: st.lists(
+                    st.lists(st.lists(SMALL_RATIONALS, min_size=n, max_size=n), min_size=n, max_size=n),
+                    min_size=m + 1,
+                    max_size=m + 1,
+                )
+            )
+        ),
+        SMALL_RATIONALS,
+        SMALL_RATIONALS,
+    )
+    def test_matches_evaluated_determinant(self, coeffs, lam, mu):
+        p = matrix_polynomial(coeffs)
+        value = sum(c * lam**i * mu**j for (i, j), c in char_poly(p).terms.items())
+        shifted = p.evaluate(lam)
+        for i in range(p.n):
+            shifted[i][i] -= mu
+        assert value == det(shifted)
 
 
 def orb1_three(arr):
