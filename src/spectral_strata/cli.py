@@ -159,8 +159,11 @@ def _stratum_obj(label: _strata.StratumLabel) -> dict:
     help="Edge cap for exhaustive enumerations (2^cap cases).",
 )
 @click.pass_context
+@handle_errors
 def main(ctx: click.Context, max_edges: int) -> None:
     """Exact combinatorics of stratified isospectral varieties."""
+    if max_edges < 0:
+        raise StrataError(f"--max-edges must be a nonnegative integer, not {max_edges}")
     ctx.obj = max_edges
 
 

@@ -4,7 +4,14 @@ determinants and adjugate kernels).
 
 One memoised cofactor expansion along a row gives the determinant and a
 column of the adjugate at once; polynomial-matrix determinants, adjugate
-kernels and matpoly's characteristic polynomial all read it.
+kernels and matpoly's characteristic polynomial all read it.  It runs
+over integers: each row of the matrix is first multiplied by the lcm of
+its coefficients' denominators, and the result is mapped back to the
+rationals once at the end (dividing by the product of the row scales, or,
+for an adjugate kernel, not at all, since scaling the other rows scales
+every cofactor of a row by one constant).  Content-free normalisation
+likewise works on integer polynomials, with a primitive pseudo-remainder
+gcd.
 
 Rational roots come from the squarefree part of the polynomial: its real
 roots are isolated by a Sturm chain evaluated on integers at dyadic
@@ -15,8 +22,10 @@ polynomial vanishes at it exactly.  No float is used, and the work is
 polynomial in the bit length of the coefficients.
 
 Univariate polynomials are coefficient tuples in ascending degree with no
-trailing zeros; the zero polynomial is the empty tuple.  Bivariate
-polynomials are dicts mapping (i, j) exponent pairs to nonzero Fractions.
+trailing zeros; the zero polynomial is the empty tuple.  Their
+coefficients are Fractions (QPoly), or ints (IPoly) inside the integer
+kernels.  Bivariate polynomials are dicts mapping (i, j) exponent pairs to
+nonzero coefficients, Fractions or ints; their operations serve both.
 """
 
 from __future__ import annotations
@@ -28,6 +37,7 @@ from typing import Iterable, Optional, Sequence
 from .errors import StrataError
 
 QPoly = tuple[Fraction, ...]
+IPoly = tuple[int, ...]
 BivarTerms = dict[tuple[int, int], Fraction]
 
 
@@ -135,30 +145,102 @@ def poly_content_free(vector: Sequence[QPoly]) -> tuple[QPoly, ...]:
     """Divide a nonzero polynomial vector by the gcd of its entries, clear
     denominators, divide by the integer content, and normalise the sign of
     the leading coefficient of the first nonzero entry."""
+    denom = math.lcm(*(c.denominator for p in vector for c in p))
+    ints = [tuple(c.numerator * (denom // c.denominator) for c in p) for p in vector]
+    return _rational_vector(_content_free_ints(ints))
+
+
+def _rational_vector(vector: Sequence[IPoly]) -> tuple[QPoly, ...]:
+    return tuple(tuple(Fraction(c) for c in p) for p in vector)
+
+
+# ---------------------------------------------------------------------------
+# univariate polynomials over the integers
+
+def int_poly_add(p: IPoly, q: IPoly) -> IPoly:
+    if len(p) < len(q):
+        p, q = q, p
+    out = list(p)
+    for i, c in enumerate(q):
+        out[i] += c
+    while out and not out[-1]:
+        out.pop()
+    return tuple(out)
+
+
+def int_poly_neg(p: IPoly) -> IPoly:
+    return tuple(-c for c in p)
+
+
+def int_poly_mul(p: IPoly, q: IPoly) -> IPoly:
+    """Product; the integers have no zero divisors, so the leading
+    coefficient is nonzero and nothing needs trimming."""
+    if not p or not q:
+        return ()
+    out = [0] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        if a:
+            for j, b in enumerate(q):
+                out[i + j] += a * b
+    return tuple(out)
+
+
+def clear_row_denominators(
+    matrix: Sequence[Sequence[Sequence[Fraction]]],
+) -> tuple[list[list[IPoly]], list[int]]:
+    """Each row of a polynomial matrix (coefficient sequences in ascending
+    degree, trailing zeros allowed) times the lcm of its coefficients'
+    denominators: the integer rows, and the scale of each row."""
+    rows, scales = [], []
+    for row in matrix:
+        scale = math.lcm(*(c.denominator for p in row for c in p))
+        out = []
+        for p in row:
+            ints = [c.numerator * (scale // c.denominator) for c in p]
+            while ints and not ints[-1]:
+                ints.pop()
+            out.append(tuple(ints))
+        rows.append(out)
+        scales.append(scale)
+    return rows, scales
+
+
+def _exact_quotient(p: Sequence[int], g: Sequence[int]) -> list[int]:
+    """p / g for integer polynomials when the quotient has integer
+    coefficients, as it has when g is primitive and divides p over the
+    rationals (Gauss's lemma)."""
+    rem = list(p)
+    quot = [0] * (len(p) - len(g) + 1)
+    for shift in range(len(quot) - 1, -1, -1):
+        c = rem[shift + len(g) - 1] // g[-1]
+        if c:
+            quot[shift] = c
+            for i, b in enumerate(g):
+                rem[shift + i] -= c * b
+    return quot
+
+
+def _content_free_ints(vector: Sequence[IPoly]) -> tuple[IPoly, ...]:
+    """poly_content_free on integer polynomials: the gcd of the entries is a
+    primitive pseudo-remainder gcd, the entries are divided by it exactly,
+    then by the integer content, and the sign of the first nonzero entry's
+    leading coefficient is made positive."""
     entries = [p for p in vector if p]
     if not entries:
         raise StrataError("cannot normalise the zero vector")
-    g = ZERO_POLY
-    for p in entries:
-        g = poly_gcd(g, p)
-    reduced = [poly_divmod(p, g)[0] if p else ZERO_POLY for p in vector]
-    denom = 1
-    for p in reduced:
-        for c in p:
-            denom = denom * c.denominator // math.gcd(denom, c.denominator)
-    cleared = [poly_scale(p, Fraction(denom)) for p in reduced]
-    content = 0
-    for p in cleared:
-        for c in p:
-            content = math.gcd(content, c.numerator)
-    if content > 1:
-        cleared = [poly_scale(p, Fraction(1, content)) for p in cleared]
-    for p in cleared:
-        if p:
-            if p[-1] < 0:
-                cleared = [poly_neg(q) for q in cleared]
+    g = _primitive(entries[0])
+    for b in entries[1:]:
+        if len(g) == 1:
             break
-    return tuple(cleared)
+        a = g
+        while b:
+            a, b = b, _neg_prem(a, b)
+        g = _primitive(a)
+    reduced = [_exact_quotient(p, g) if p else [] for p in vector]
+    content = math.gcd(*(c for p in reduced for c in p))
+    if next(p for p in reduced if p)[-1] < 0:
+        content = -content
+    return tuple(tuple(c // content for c in p) for p in reduced)
 
 
 def _primitive(ints: list[int]) -> list[int]:
@@ -258,7 +340,7 @@ def rational_roots(p: QPoly) -> list[Fraction]:
         return roots
     chain = _sturm_chain(q)
     if len(chain[-1]) > 1:  # repeated roots: isolate those of the squarefree part
-        q = _integer_form(poly_divmod(poly(q), poly(chain[-1]))[0])
+        q = _primitive(_exact_quotient(q, chain[-1]))
         chain = _sturm_chain(q)
     lead = abs(q[-1])
     target = 2 * lead * lead
@@ -302,7 +384,7 @@ def biv_clean(terms: BivarTerms) -> BivarTerms:
 def biv_add(a: BivarTerms, b: BivarTerms) -> BivarTerms:
     out = dict(a)
     for k, v in b.items():
-        out[k] = out.get(k, Fraction(0)) + v
+        out[k] = out.get(k, 0) + v
     return biv_clean(out)
 
 
@@ -315,7 +397,7 @@ def biv_mul(a: BivarTerms, b: BivarTerms) -> BivarTerms:
     for (i1, j1), c1 in a.items():
         for (i2, j2), c2 in b.items():
             k = (i1 + i2, j1 + j2)
-            out[k] = out.get(k, Fraction(0)) + c1 * c2
+            out[k] = out.get(k, 0) + c1 * c2
     return biv_clean(out)
 
 
@@ -330,11 +412,9 @@ def rank(matrix: Matrix) -> int:
     integer copy."""
     rows = []
     for row in matrix:
-        denom = 1
-        for x in row:
-            f = parse_rational(x)
-            denom = denom * f.denominator // math.gcd(denom, f.denominator)
-        rows.append([int(parse_rational(x) * denom) for x in row])
+        fs = [parse_rational(x) for x in row]
+        denom = math.lcm(*(f.denominator for f in fs))
+        rows.append([f.numerator * (denom // f.denominator) for f in fs])
     if not rows or not rows[0]:
         return 0
     m, n = len(rows), len(rows[0])
@@ -451,13 +531,17 @@ def cofactor_expansion(matrix: Sequence[Sequence], row: int, zero, one, mul, add
     return total, cofactors
 
 
-_POLY_RING = (ZERO_POLY, poly_const(1), poly_mul, poly_add, poly_neg)
+_INT_POLY_RING = ((), (1,), int_poly_mul, int_poly_add, int_poly_neg)
 
 
 def poly_matrix_det(matrix: Sequence[Sequence[QPoly]]) -> QPoly:
     """Determinant of a square polynomial matrix, by cofactor expansion
-    along the first row."""
-    return cofactor_expansion(matrix, 0, *_POLY_RING)[0]
+    along the first row of the denominator-cleared integer matrix, divided
+    by the product of the row scales."""
+    rows, scales = clear_row_denominators(matrix)
+    total = cofactor_expansion(rows, 0, *_INT_POLY_RING)[0]
+    scale = math.prod(scales)
+    return tuple(Fraction(c, scale) for c in total)
 
 
 def poly_matrix_kernel_vector(matrix: Sequence[Sequence[QPoly]]) -> tuple[QPoly, ...]:
@@ -468,18 +552,23 @@ def poly_matrix_kernel_vector(matrix: Sequence[Sequence[QPoly]]) -> tuple[QPoly,
     The adjugate transposes cofactors, and M adj(M) = det(M) Id = 0, so any
     nonzero adjugate column spans the kernel.  One expansion along row 0
     gives the determinant and adjugate column 0; rows 1, 2, ... are
-    expanded only while that column is zero.  Raises when the adjugate is
-    zero (kernel dimension at least two) or the determinant is nonzero.
+    expanded only while that column is zero.  The expansions run on the
+    denominator-cleared integer rows: that scales the determinant, and
+    every cofactor of a row, by one nonzero constant, so the zero tests and
+    the content-free result are those of the rational matrix.  Raises when
+    the adjugate is zero (kernel dimension at least two) or the
+    determinant is nonzero.
     """
     n = len(matrix)
     if n == 1:
         if matrix[0][0]:
             raise StrataError("nonzero 1x1 matrix has trivial kernel")
         return (poly_const(1),)
+    rows, _ = clear_row_denominators(matrix)
     for row in range(n):
-        total, column = cofactor_expansion(matrix, row, *_POLY_RING)
+        total, column = cofactor_expansion(rows, row, *_INT_POLY_RING)
         if row == 0 and total:
             raise StrataError("matrix has nonzero determinant; kernel is trivial")
         if any(column):
-            return poly_content_free(column)
+            return _rational_vector(_content_free_ints(column))
     raise StrataError("adjugate vanishes: kernel dimension is at least two")

@@ -23,7 +23,8 @@ from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-from typing import Mapping, Optional
+from operator import ge, gt
+from typing import Mapping, Optional, Sequence
 
 from .errors import CapExceededError, GraphConstructionError, StrataError
 from .graphs import (
@@ -254,20 +255,72 @@ def _is_indegree_flow(g: Multigraph, d: Divisor) -> Optional[Orientation]:
     return _max_flow_orientation(g, d)
 
 
-def _subset_inequalities_ok(g: Multigraph, d: Divisor) -> bool:
-    """D(S) >= #edges inside S for every vertex subset S (degree already
-    checked).  Exponential in the vertex count."""
-    n = g.n_vertices
-    if n > 24:
-        raise CapExceededError("inequality test limited to 24 vertices")
-    edge_masks = [(1 << u) | (1 << v) for u, v in g.edges]
-    values = d.values
-    for mask in range(1, 1 << n):
-        total = sum(values[i] for i in range(n) if mask >> i & 1)
-        inside = sum(1 for em in edge_masks if em & mask == em)
-        if total < inside:
+def _subset_sums(weights: Sequence[int]) -> list[int]:
+    """sums[S] = sum of weights[i] over the bits i of S, for every bitmask
+    S: each S with top bit k is the same S without k, plus weights[k]."""
+    sums = [0]
+    for w in weights:
+        sums += [t + w for t in sums]
+    return sums
+
+
+def _component_tables(g: Multigraph) -> list[tuple[list[int], list[int]]]:
+    """For every connected component: its members, and inside[S] = #edges
+    with both ends in S for every bitmask S over the members.  Each S with
+    top member k is the same S without k, plus k's loops and k's edges to
+    the rest of S."""
+    out = []
+    for comp in g.connected_components():
+        members = sorted(comp)
+        pos = {x: j for j, x in enumerate(members)}
+        loops = [0] * len(members)
+        to_lower = [[0] * k for k in range(len(members))]
+        for u, v in g.edges:
+            if u in pos:
+                lo, hi = sorted((pos[u], pos[v]))
+                if lo == hi:
+                    loops[hi] += 1
+                else:
+                    to_lower[hi][lo] += 1
+        inside = [0]
+        for k, row in enumerate(to_lower):
+            inside += [t + a + loops[k] for t, a in zip(inside, _subset_sums(row))]
+        out.append((members, inside))
+    return out
+
+
+def _inequalities_hold(values: Sequence[int], tables) -> bool:
+    """D(S) >= #edges inside S for every vertex subset S, checked inside
+    each component (the sums over a union of components add up)."""
+    for members, inside in tables:
+        if not all(map(ge, _subset_sums([values[x] for x in members]), inside)):
             return False
     return True
+
+
+def _strict_inequalities_hold(values: Sequence[int], tables) -> bool:
+    """D(S) > #edges inside S for every nonempty proper subset S of every
+    component: an indegree divisor D is interior (the completely reducible
+    class) exactly then."""
+    for members, inside in tables:
+        if len(members) > 1:
+            sums = _subset_sums([values[x] for x in members])
+            if not all(map(gt, sums[1:-1], inside[1:-1])):
+                return False
+    return True
+
+
+def _inequality_tables(g: Multigraph) -> list[tuple[list[int], list[int]]]:
+    """_component_tables under the vertex cap of the inequality test."""
+    if g.n_vertices > 24:
+        raise CapExceededError("inequality test limited to 24 vertices")
+    return _component_tables(g)
+
+
+def _subset_inequalities_ok(g: Multigraph, d: Divisor) -> bool:
+    """D(S) >= #edges inside S for every vertex subset S (degree already
+    checked).  Exponential in the largest component's size."""
+    return _inequalities_hold(d.values, _inequality_tables(g))
 
 
 def _is_indegree_inequalities(g: Multigraph, d: Divisor) -> Optional[Orientation]:

@@ -10,6 +10,7 @@ polynomial vector, and the divisor value is its maximal entry degree.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -19,22 +20,24 @@ from typing import Mapping, Sequence
 from .errors import ArrangementError, SampleError, StrataError
 from .exact import (
     BivarTerms,
+    IPoly,
     QPoly,
     biv_add,
     biv_mul,
     biv_neg,
+    clear_row_denominators,
     cofactor_expansion,
     det,
+    int_poly_add,
+    int_poly_mul,
     nullspace,
     parse_rational,
     poly,
-    poly_add,
     poly_const,
     poly_degree,
     poly_matrix_det,
     poly_matrix_kernel_vector,
     poly_mul,
-    poly_neg,
     rank,
     rational_roots,
     sqrt_rational,
@@ -148,21 +151,22 @@ def matrix_polynomial(coefficients: Sequence[Sequence[Sequence]]) -> MatrixPolyn
 
 def char_poly(p: MatrixPolynomial) -> BivariatePolynomial:
     """det(P(lambda) - mu Id) as an exact bivariate polynomial; the top
-    mu-term is (-1)^n mu^n."""
+    mu-term is (-1)^n mu^n.  Each row, its -mu entry included, is
+    multiplied by the lcm of its denominators, the determinant is expanded
+    over the integers, and its coefficients are divided by the product of
+    the row scales."""
     n = p.n
     if n > MAX_MATRIX_SIZE:
         raise StrataError(f"matrix size {n} exceeds the char_poly cap {MAX_MATRIX_SIZE}")
-    entries: list[list[BivarTerms]] = []
+    rows, scales = clear_row_denominators(
+        [[[mat[i][j] for mat in p.coefficients] for j in range(n)] for i in range(n)]
+    )
+    entries = [[{(k, 0): c for k, c in enumerate(e) if c} for e in row] for row in rows]
     for i in range(n):
-        row = []
-        for j in range(n):
-            terms = {(k, 0): mat[i][j] for k, mat in enumerate(p.coefficients) if mat[i][j]}
-            if i == j:
-                terms[(0, 1)] = Fraction(-1)
-            row.append(terms)
-        entries.append(row)
-    total, _ = cofactor_expansion(entries, 0, {}, {(0, 0): Fraction(1)}, biv_mul, biv_add, biv_neg)
-    return BivariatePolynomial(total)
+        entries[i][i][(0, 1)] = -scales[i]
+    total, _ = cofactor_expansion(entries, 0, {}, {(0, 0): 1}, biv_mul, biv_add, biv_neg)
+    scale = math.prod(scales)
+    return BivariatePolynomial({k: Fraction(c, scale) for k, c in total.items()})
 
 
 def check_leading_condition(
@@ -264,19 +268,20 @@ class EigenLineData:
     dual_degree: int
 
 
-def _line_matrix(p: MatrixPolynomial, c: SpectralLineArrangement, i: int) -> list[list[QPoly]]:
+def _line_matrix(p: MatrixPolynomial, c: SpectralLineArrangement, i: int) -> list[list[IPoly]]:
+    """P(lambda) - (a_i + b_i lambda) Id with each row cleared of
+    denominators; the kernel over the rational function field is that of
+    the rational matrix."""
     a, b = c.lines[i]
     n = p.n
     mat = []
     for r in range(n):
-        row = []
-        for s in range(n):
-            entry = p.entry_poly(r, s)
-            if r == s:
-                entry = poly_add(entry, poly_neg(poly([a, b])))
-            row.append(entry)
+        row = [[m[r][s] for m in p.coefficients] for s in range(n)]
+        row[r] += [0] * (2 - len(row[r]))  # room for b when P is constant
+        row[r][0] -= a
+        row[r][1] -= b
         mat.append(row)
-    return mat
+    return clear_row_denominators(mat)[0]
 
 
 def _check_char_matches(p: MatrixPolynomial, c: SpectralLineArrangement) -> None:
@@ -305,10 +310,12 @@ def _eigen_line_data(
             vec = poly_matrix_kernel_vector(mat)
         except StrataError as exc:
             raise StrataError(f"line {i}: eigenvector is not unique ({exc})") from None
+        # M v = 0 on the integer rows; v is content-free, so integral
+        ints = [tuple(x.numerator for x in q) for q in vec]
         for r in range(p.n):
-            acc: QPoly = ()
+            acc: IPoly = ()
             for s in range(p.n):
-                acc = poly_add(acc, poly_mul(mat[r][s], vec[s]))
+                acc = int_poly_add(acc, int_poly_mul(mat[r][s], ints[s]))
             if acc:
                 raise AssertionError("eigenvector identity failed")
         out.append(EigenLineData(i, vec, max(poly_degree(q) for q in vec)))

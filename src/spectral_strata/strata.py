@@ -49,6 +49,8 @@ from .graphs import (
 from .indegree import (
     DivisorClass,
     DivisorTag,
+    _component_tables,
+    _strict_inequalities_hold,
     _times_edge,
     classify,
     enumerate_indegree,
@@ -139,27 +141,6 @@ def _check_dimension(dim: int) -> None:
         )
 
 
-def _interior_checks(g: Multigraph) -> list[tuple[list[int], list[tuple[int, int]]]]:
-    """For every connected component with two or more vertices: its
-    members, and (S, #edges inside S) for every nonempty proper subset S,
-    S as a bitmask over the members.  An indegree divisor D is interior
-    (the completely reducible class) iff D(S) > #edges inside S for all
-    of them."""
-    out = []
-    for comp in g.connected_components():
-        members = sorted(comp)
-        if len(members) < 2:
-            continue
-        pos = {x: j for j, x in enumerate(members)}
-        edge_bits = [(1 << pos[u]) | (1 << pos[v]) for u, v in g.edges if u in comp]
-        subsets = [
-            (bits, sum(1 for eb in edge_bits if eb & bits == eb))
-            for bits in range(1, (1 << len(members)) - 1)
-        ]
-        out.append((members, subsets))
-    return out
-
-
 def _walk(g: Multigraph, edges: Sequence[int], base: tuple[int, ...]) -> Iterator[dict]:
     """For each mask over the positions in edges, ascending: the term map
     (exponent -> [coefficient, witness flips]) of x^base times (x_u + x_v)
@@ -198,18 +179,10 @@ def _strata_table(
     interior), in (bitmask, divisor) order."""
     for sub, terms in _full_walk(c.dual_graph, max_edges):
         graph = sub.as_multigraph()
-        checks = _interior_checks(graph)
+        tables = _component_tables(graph)
         for expo in sorted(terms):
             coeff, flips = terms[expo]
-            interior = True
-            for members, subsets in checks:
-                # sums[S] = D(S) for every bitmask S over the members
-                sums = [0]
-                for x in members:
-                    sums += [t + expo[x] for t in sums]
-                if not all(sums[bits] > inside for bits, inside in subsets):
-                    interior = False
-                    break
+            interior = _strict_inequalities_hold(expo, tables)
             yield sub, expo, coeff, Orientation(graph, flips), interior
 
 

@@ -24,7 +24,16 @@ from .graphs import (
     ensure_cap,
     indeg,
 )
-from .indegree import DivisorTag, classify, enumerate_indegree, multiplicity, _subset_inequalities_ok
+from .indegree import (
+    DivisorTag,
+    _component_tables,
+    _inequalities_hold,
+    _inequality_tables,
+    _strict_inequalities_hold,
+    classify,
+    enumerate_indegree,
+    multiplicity,
+)
 
 
 @dataclass(frozen=True)
@@ -58,10 +67,8 @@ def lattice_points(g: Multigraph, max_edges: int = DEFAULT_MAX_EDGES) -> list[Di
     def extend(prefix: list[int], remaining: int) -> None:
         i = len(prefix)
         if i == n:
-            if remaining == 0:
-                d = Divisor(g.vertices, tuple(prefix))
-                if _subset_inequalities_ok(g, d):
-                    points.append(d)
+            if remaining == 0 and _inequalities_hold(prefix, tables):
+                points.append(Divisor(g.vertices, tuple(prefix)))
             return
         tail_capacity = sum(degs[i + 1:])
         lo = max(0, remaining - tail_capacity)
@@ -71,6 +78,7 @@ def lattice_points(g: Multigraph, max_edges: int = DEFAULT_MAX_EDGES) -> list[Di
 
     if n == 0:
         return [] if e else [Divisor((), ())]
+    tables = _inequality_tables(g)
     extend([], e)
     expected = enumerate_indegree(g, max_edges)
     if points != expected:
@@ -171,6 +179,7 @@ def lattice_csv(g: Multigraph, max_edges: int = DEFAULT_MAX_EDGES) -> str:
     multiplicity, is_vertex, is_interior."""
     points = lattice_points(g, max_edges)
     verts = set(d.values for d in zonotope_vertices(g, max_edges))
+    tables = _component_tables(g)
     buf = io.StringIO()
     writer = _csv.writer(buf, lineterminator="\n")
     writer.writerow(list(g.vertices) + ["multiplicity", "is_vertex", "is_interior"])
@@ -180,7 +189,8 @@ def lattice_csv(g: Multigraph, max_edges: int = DEFAULT_MAX_EDGES) -> str:
             + [
                 multiplicity(g, d),
                 str(d.values in verts).lower(),
-                str(is_interior(g, d)).lower(),
+                # the strict subset inequalities decide is_interior
+                str(_strict_inequalities_hold(d.values, tables)).lower(),
             ]
         )
     return buf.getvalue()

@@ -109,6 +109,26 @@ class TestZonotopeCommands:
         run_ok("zonotope", "points", "--complete", "4", "--format", "csv")
         assert len(calls) == 1
 
+    def test_points_csv_runs_no_classify(self, monkeypatch):
+        from spectral_strata import indegree, zonotope
+
+        calls = []
+        classify = indegree.classify
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return classify(*args, **kwargs)
+
+        monkeypatch.setattr(indegree, "classify", counted)
+        monkeypatch.setattr(zonotope, "classify", counted)
+        out = run_ok("zonotope", "points", "--complete", "4", "--format", "csv")
+        assert calls == []
+        # the flags agree with the public interior test, which classifies
+        g = zonotope.permutohedron_graph(4)
+        flags = [row.split(",")[-1] == "true" for row in out.splitlines()[1:]]
+        assert flags == [zonotope.is_interior(g, d) for d in zonotope.lattice_points(g)]
+        assert len(calls) == len(flags) == 38 and any(flags)
+
     def test_points_json(self):
         out = json.loads(run_ok("zonotope", "points", json.dumps(K3_GRAPH)))
         assert {"v1": 1, "v2": 1, "v3": 1} in out
@@ -306,6 +326,7 @@ class TestCliContract:
             ("strata", "components", {**E2_GRAPH, "m": True, "n": 2}),
             ("strata", "components", {**E2_GRAPH, "m": 1, "n": "2"}),
             ("strata", "enumerate", {**E2_GRAPH, "m": 1, "n": 2.0}),
+            ("--max-edges", "-1", "graph", "bpoly", E2_GRAPH),
         ],
     )
     def test_malformed_input_exits_2(self, args):

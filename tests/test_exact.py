@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction as F
 from itertools import permutations
+from math import gcd, prod
 
 import pytest
 from hypothesis import given, strategies as st
@@ -360,3 +361,127 @@ class TestPolyMatrices:
 
     def test_one_by_one(self):
         assert poly_matrix_kernel_vector([[()]]) == (poly([1]),)
+
+
+def reference_content_free(vector):
+    """The Fraction-only normalisation the integer one replaced: divide by
+    the monic gcd, clear denominators, divide by the content, make the
+    first nonzero entry's leading coefficient positive."""
+    g = ()
+    for p in vector:
+        g = poly_gcd(g, p)
+    reduced = [poly_divmod(p, g)[0] if p else () for p in vector]
+    denom = 1
+    for p in reduced:
+        for c in p:
+            denom = denom * c.denominator // gcd(denom, c.denominator)
+    cleared = [tuple(c * denom for c in p) for p in reduced]
+    content = 0
+    for p in cleared:
+        for c in p:
+            content = gcd(content, c.numerator)
+    cleared = [tuple(c / content for c in p) for p in cleared]
+    if next(p for p in cleared if p)[-1] < 0:
+        cleared = [tuple(-c for c in p) for p in cleared]
+    return tuple(cleared)
+
+
+BIG_DENOMINATORS = (1, 7, 10**10 + 19, 2**61 - 1, 3**25, 999_999_999_989)
+
+
+def big_rational(rng):
+    """Numerators up to 2^70, denominators from BIG_DENOMINATORS or small."""
+    num = rng.choice([rng.randint(-(2**70), 2**70), rng.randint(-9, 9)])
+    return F(num, rng.choice(BIG_DENOMINATORS + (rng.randint(1, 50),)))
+
+
+def big_poly(rng):
+    return poly([big_rational(rng) for _ in range(rng.randint(0, 3))])
+
+
+def big_rows(rng, count, n):
+    return [[big_poly(rng) for _ in range(n)] for _ in range(count)]
+
+
+class TestIntegerKernels:
+    """The integer expansions against Fraction oracles that share no code
+    with the integer ring."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_cleared_expansion_matches_leibniz(self, n, seed):
+        mat = big_rows(random.Random(100 * n + seed), n, n)
+        rows, scales = exact.clear_row_denominators(mat)
+        assert all(isinstance(c, int) for row in rows for p in row for c in p)
+        product = prod(scales)
+        for row in range(n):
+            total, column = exact.cofactor_expansion(
+                rows, row, (), (1,), exact.int_poly_mul, exact.int_poly_add, exact.int_poly_neg
+            )
+            assert poly([F(c, product) for c in total]) == leibniz_det(mat)
+            others = F(product, scales[row])
+            want = leibniz_adjugate_column(mat, row)
+            assert [poly([F(c) / others for c in p]) for p in column] == want
+        assert poly_matrix_det(mat) == leibniz_det(mat)
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_kernel_with_large_denominators(self, n, seed):
+        rng = random.Random(10 * n + seed)
+        rows = big_rows(rng, n - 1, n)
+        # the last row is a combination with rational polynomial coefficients
+        last = [()] * n
+        for row in rows:
+            c = poly([big_rational(rng), F(rng.choice([-3, 1, 2]), rng.choice(BIG_DENOMINATORS))])
+            last = [poly_add(a, poly_mul(c, b)) for a, b in zip(last, row)]
+        mat = rows + [last]
+        assert leibniz_det(mat) == ()
+        columns = [leibniz_adjugate_column(mat, c) for c in range(n)]
+        first = next(c for c in range(n) if any(columns[c]))
+        vec = poly_matrix_kernel_vector(mat)
+        assert vec == reference_content_free(columns[first])
+        assert all(isinstance(c, F) for p in vec for c in p)
+        for row in mat:
+            acc = ()
+            for a, b in zip(row, vec):
+                acc = poly_add(acc, poly_mul(a, b))
+            assert acc == ()
+
+    @pytest.mark.parametrize("seed", range(60))
+    def test_content_free_matches_fraction_reference(self, seed):
+        rng = random.Random(seed)
+        n = rng.randint(1, 5)
+        common = poly([big_rational(rng) or 1 for _ in range(rng.randint(1, 3))])
+        vector = []
+        for _ in range(n):
+            if rng.random() < 0.3:
+                vector.append(())  # zero entries
+            else:
+                entry = poly_mul(big_poly(rng) or poly([F(-1, 3)]), common)
+                vector.append(entry if rng.random() < 0.5 else tuple(-c for c in entry))
+        if not any(vector):
+            vector[-1] = poly([F(-5, 7), F(-2, 11)])  # negative lead
+        got = poly_content_free(vector)
+        assert got == reference_content_free(vector)
+        assert all(isinstance(c, F) for p in got for c in p)
+
+    def test_content_free_sign_and_gcd(self):
+        # negative leads and a shared factor (x + 1/3)
+        factor = poly([F(1, 3), 1])
+        vector = ((), poly_mul(factor, poly([F(-2, 5), F(-4, 7)])), poly_mul(factor, poly([F(6, 35)])))
+        assert poly_content_free(vector) == reference_content_free(vector) == (
+            (), poly([7, 10]), poly([-3])
+        )
+
+    def test_rank_parses_each_entry_once(self, monkeypatch):
+        calls = []
+        parse = exact.parse_rational
+
+        def counted(x):
+            calls.append(x)
+            return parse(x)
+
+        monkeypatch.setattr(exact, "parse_rational", counted)
+        matrix = [["1/2", "1/3", F(2, 7)], [1, "3/10", "5"]]
+        assert rank(matrix) == 2
+        assert len(calls) == 6

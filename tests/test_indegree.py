@@ -392,3 +392,33 @@ class TestSchurIdentity:
         bp = {expo: int(c) for expo, c in b_polynomial(g).terms.items()}
         lhs = self._poly_mul(bp, self._vandermonde(n))
         assert lhs == self._vandermonde(n, square=True)
+
+
+class TestSubsetInequalityTables:
+    """The subset-sum tables against a direct count over every subset."""
+
+    @staticmethod
+    def brute(g, values, strict):
+        n = g.n_vertices
+        ok_all, interior = True, True
+        for mask in range(1, 1 << n):
+            total = sum(values[i] for i in range(n) if mask >> i & 1)
+            inside = sum(1 for u, v in g.edges if mask >> u & 1 and mask >> v & 1)
+            ok_all &= total >= inside
+        for comp in g.connected_components():
+            members = sorted(comp)
+            for mask in range(1, (1 << len(members)) - 1):
+                subset = {members[i] for i in range(len(members)) if mask >> i & 1}
+                total = sum(values[i] for i in subset)
+                inside = sum(1 for u, v in g.edges if u in subset and v in subset)
+                interior &= total > inside
+        return interior if strict else ok_all
+
+    @given(graphs_with_divisors(max_vertices=5, max_edges=6))
+    def test_tables_match_direct_counts(self, case):
+        from spectral_strata import indegree
+
+        g, d = case
+        tables = indegree._component_tables(g)
+        assert indegree._subset_inequalities_ok(g, d) == self.brute(g, d.values, False)
+        assert indegree._strict_inequalities_hold(d.values, tables) == self.brute(g, d.values, True)

@@ -517,3 +517,78 @@ class TestSerialisation:
         arr = two_lines()
         rows = char_poly(orb1(arr)).to_json_obj()
         assert {"lambda": 0, "mu": 2, "coeff": "1"} in rows
+
+
+ROW_DENOMINATORS = (1, 7, 10**10 + 19, 2**61 - 1)
+
+
+def _unequal_rows_coeffs(rng, m, n):
+    """m + 1 coefficient matrices whose row i draws its denominators from
+    its own range, with numerators beyond 2^64."""
+    out = []
+    for _ in range(m + 1):
+        mat = []
+        for i in range(n):
+            base = ROW_DENOMINATORS[i % len(ROW_DENOMINATORS)]
+            mat.append(
+                [
+                    F(rng.choice([0, rng.randint(-(2**66), 2**66), rng.randint(-4, 4)]),
+                      base * rng.randint(1, 9))
+                    for _ in range(n)
+                ]
+            )
+        out.append(mat)
+    return out
+
+
+class TestUnequalRowDenominators:
+    @pytest.mark.parametrize("m", [0, 1, 2])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_char_poly_at_rational_points(self, m, n):
+        import random
+
+        rng = random.Random(10 * m + n)
+        for _ in range(3):
+            p = matrix_polynomial(_unequal_rows_coeffs(rng, m, n))
+            q = char_poly(p)
+            assert all(isinstance(c, F) for c in q.terms.values())
+            for lam, mu in ((F(0), F(0)), (F(-3, 7), F(5, 2)), (F(10**12 + 1, 13), F(-1, 10**9))):
+                value = sum(c * lam**i * mu**j for (i, j), c in q.terms.items())
+                shifted = p.evaluate(lam)
+                for i in range(n):
+                    shifted[i][i] -= mu
+                assert value == det(shifted)
+
+    def test_conjugated_samples_keep_label_and_identity(self):
+        arr = three_lines()
+        full = frozenset({0, 1, 2})
+        # unipotent S = I + N with N^3 = 0, so S^-1 = I - N + N^2
+        nil = [[F(0), F(1, 7), F(3, 10**10 + 19)], [F(0), F(0), F(-5, 2**61 - 1)], [F(0)] * 3]
+        ident = [[F(int(i == j)) for j in range(3)] for i in range(3)]
+
+        def mul(a, b):
+            return [[sum(a[i][k] * b[k][j] for k in range(3)) for j in range(3)] for i in range(3)]
+
+        s = [[ident[i][j] + nil[i][j] for j in range(3)] for i in range(3)]
+        nil2 = mul(nil, nil)
+        s_inv = [[ident[i][j] - nil[i][j] + nil2[i][j] for j in range(3)] for i in range(3)]
+        assert mul(s, s_inv) == ident
+        for values in [(0, 1, 2), (1, 2, 0), (2, 0, 1)]:
+            label = StratumLabel(
+                Subgraph(arr.dual_graph, full), Divisor(arr.dual_graph.vertices, values)
+            )
+            p = sample_stratum(arr, label, ["1/3", "2", "-3/11"])
+            conj = matrix_polynomial([mul(mul(s, a), s_inv) for a in p.coefficients])
+            assert char_poly(conj) == arrangement_product(arr)
+            assert classify_polynomial(conj, arr) == label
+            for data in eigen_line_data(conj, arr):
+                a, b = arr.lines[data.line_index]
+                assert all(c.denominator == 1 for q in data.eigenvector for c in q)
+                for r in range(3):
+                    acc = ()
+                    for col in range(3):
+                        entry = conj.entry_poly(r, col)
+                        if r == col:
+                            entry = poly_add(entry, (-a, -b))
+                        acc = poly_add(acc, poly_mul(entry, data.eigenvector[col]))
+                    assert acc == ()

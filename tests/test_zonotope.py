@@ -175,3 +175,15 @@ class TestZonotopeObject:
         z = graphical_zonotope(make_k4())
         assert all(d.degree == 6 for d in z.lattice_points)
         assert set(z.vertex_points) <= set(z.lattice_points)
+
+
+class TestLatticeCsv:
+    @given(multigraphs(max_vertices=5, max_edges=6))
+    def test_interior_column_matches_is_interior(self, g):
+        rows = lattice_csv(g).splitlines()[1:]
+        points = lattice_points(g)
+        assert len(rows) == len(points)
+        for row, d in zip(rows, points):
+            cells = row.split(",")
+            assert tuple(int(x) for x in cells[: g.n_vertices]) == d.values
+            assert cells[-1] == str(is_interior(g, d)).lower()
