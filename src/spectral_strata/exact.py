@@ -2,6 +2,11 @@
 rationals, and exact linear algebra (rank, nullspace, polynomial-matrix
 determinants and adjugate kernels).
 
+Rank is Bareiss's fraction-free elimination in one integer-only routine,
+int_rank.  rank clears a rational matrix's rows into it; matpoly hands it
+the integer matrices it builds directly (P(lambda) - mu Id at a node, each
+row scaled by a positive integer), so no Fraction is made on the way.
+
 One memoised cofactor expansion along a row gives the determinant and a
 column of the adjugate at once; polynomial-matrix determinants, adjugate
 kernels and matpoly's characteristic polynomial all read it.  It runs
@@ -408,13 +413,21 @@ Matrix = Sequence[Sequence[Fraction]]
 
 
 def rank(matrix: Matrix) -> int:
-    """Rank by fraction-free (Bareiss) elimination on a denominator-cleared
-    integer copy."""
+    """Rank of a rational matrix: each row is multiplied by the lcm of its
+    denominators, which keeps the rank, and the integer copy goes to
+    int_rank."""
     rows = []
     for row in matrix:
         fs = [parse_rational(x) for x in row]
         denom = math.lcm(*(f.denominator for f in fs))
         rows.append([f.numerator * (denom // f.denominator) for f in fs])
+    return int_rank(rows)
+
+
+def int_rank(rows: list[list[int]]) -> int:
+    """Rank of an integer matrix by fraction-free (Bareiss) elimination,
+    which overwrites the rows: every division is exact, so every entry
+    stays an integer."""
     if not rows or not rows[0]:
         return 0
     m, n = len(rows), len(rows[0])

@@ -11,9 +11,11 @@ polynomial vector, and the divisor value is its maximal entry degree.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations
 from typing import Mapping, Sequence
 
@@ -27,9 +29,9 @@ from .exact import (
     biv_neg,
     clear_row_denominators,
     cofactor_expansion,
-    det,
     int_poly_add,
     int_poly_mul,
+    int_rank,
     nullspace,
     parse_rational,
     poly,
@@ -38,7 +40,6 @@ from .exact import (
     poly_matrix_det,
     poly_matrix_kernel_vector,
     poly_mul,
-    rank,
     rational_roots,
     sqrt_rational,
 )
@@ -65,11 +66,11 @@ class BivariatePolynomial:
     terms: Mapping[tuple[int, int], Fraction]
 
     def __post_init__(self) -> None:
-        cleaned = {
-            (int(i), int(j)): parse_rational(c)
-            for (i, j), c in self.terms.items()
-            if parse_rational(c) != 0
-        }
+        cleaned = {}
+        for (i, j), c in self.terms.items():
+            c = parse_rational(c)
+            if c:
+                cleaned[(int(i), int(j))] = c
         object.__setattr__(self, "terms", cleaned)
 
     def coefficient(self, lam_exp: int, mu_exp: int) -> Fraction:
@@ -99,6 +100,8 @@ class MatrixPolynomial:
         if not self.coefficients:
             raise StrataError("a matrix polynomial needs at least one coefficient")
         n = len(self.coefficients[0])
+        if n == 0:
+            raise StrataError("coefficient matrices must be at least 1x1")
         for mat in self.coefficients:
             if len(mat) != n or any(len(row) != n for row in mat):
                 raise StrataError("coefficient matrices must be square of equal size")
@@ -158,15 +161,22 @@ def char_poly(p: MatrixPolynomial) -> BivariatePolynomial:
     n = p.n
     if n > MAX_MATRIX_SIZE:
         raise StrataError(f"matrix size {n} exceeds the char_poly cap {MAX_MATRIX_SIZE}")
-    rows, scales = clear_row_denominators(
-        [[[mat[i][j] for mat in p.coefficients] for j in range(n)] for i in range(n)]
-    )
+    rows, scales = _cleared_rows(p)
     entries = [[{(k, 0): c for k, c in enumerate(e) if c} for e in row] for row in rows]
     for i in range(n):
         entries[i][i][(0, 1)] = -scales[i]
     total, _ = cofactor_expansion(entries, 0, {}, {(0, 0): 1}, biv_mul, biv_add, biv_neg)
     scale = math.prod(scales)
     return BivariatePolynomial({k: Fraction(c, scale) for k, c in total.items()})
+
+
+def _cleared_rows(p: MatrixPolynomial) -> tuple[list[list[IPoly]], list[int]]:
+    """P's entries as polynomials in lambda, each row multiplied by the lcm
+    of its denominators: the integer rows and the row scales."""
+    n = p.n
+    return clear_row_denominators(
+        [[[mat[i][j] for mat in p.coefficients] for j in range(n)] for i in range(n)]
+    )
 
 
 def check_leading_condition(
@@ -218,6 +228,20 @@ class SpectralLineArrangement:
             for i in range(n)
         )
 
+    @cached_property
+    def product(self) -> BivariatePolynomial:
+        """prod_i (a_i + b_i lambda - mu), the defining polynomial with the
+        sign convention of char_poly; built on first use, then kept."""
+        acc: BivarTerms = {(0, 0): Fraction(1)}
+        for a, b in self.lines:
+            factor: BivarTerms = {(0, 1): Fraction(-1)}
+            if a != 0:
+                factor[(0, 0)] = a
+            if b != 0:
+                factor[(1, 0)] = b
+            acc = biv_mul(acc, factor)
+        return BivariatePolynomial(acc)
+
 
 def line_arrangement(lines: Sequence[Sequence]) -> SpectralLineArrangement:
     """Validate the line data and compute all nodes exactly."""
@@ -243,16 +267,8 @@ def line_arrangement(lines: Sequence[Sequence]) -> SpectralLineArrangement:
 
 def arrangement_product(c: SpectralLineArrangement) -> BivariatePolynomial:
     """prod_i (a_i + b_i lambda - mu), the defining polynomial with the
-    sign convention of char_poly."""
-    acc: BivarTerms = {(0, 0): Fraction(1)}
-    for a, b in c.lines:
-        factor: BivarTerms = {(0, 1): Fraction(-1)}
-        if a != 0:
-            factor[(0, 0)] = a
-        if b != 0:
-            factor[(1, 0)] = b
-        acc = biv_mul(acc, factor)
-    return BivariatePolynomial(acc)
+    sign convention of char_poly (computed once per arrangement)."""
+    return c.product
 
 
 # ---------------------------------------------------------------------------
@@ -268,20 +284,21 @@ class EigenLineData:
     dual_degree: int
 
 
-def _line_matrix(p: MatrixPolynomial, c: SpectralLineArrangement, i: int) -> list[list[IPoly]]:
-    """P(lambda) - (a_i + b_i lambda) Id with each row cleared of
-    denominators; the kernel over the rational function field is that of
-    the rational matrix."""
-    a, b = c.lines[i]
-    n = p.n
-    mat = []
-    for r in range(n):
-        row = [[m[r][s] for m in p.coefficients] for s in range(n)]
-        row[r] += [0] * (2 - len(row[r]))  # room for b when P is constant
-        row[r][0] -= a
-        row[r][1] -= b
-        mat.append(row)
-    return clear_row_denominators(mat)[0]
+def _line_matrix(
+    rows: list[list[IPoly]], scales: list[int], line: tuple[Fraction, Fraction]
+) -> list[list[IPoly]]:
+    """P(lambda) - (a + b lambda) Id as integer rows, from P's cleared rows:
+    row r is l times cleared row r, minus l scales[r] (a + b lambda) on the
+    diagonal, with l = lcm(den a, den b), so row r is row r of the rational
+    matrix times l scales[r].  Scaling rows keeps the kernel over the
+    rational function field."""
+    a, b = line
+    l = math.lcm(a.denominator, b.denominator)
+    a_l, b_l = a.numerator * (l // a.denominator), b.numerator * (l // b.denominator)
+    mat = [[tuple(l * x for x in e) for e in row] for row in rows]
+    for r, scale in enumerate(scales):
+        mat[r][r] = int_poly_add(mat[r][r], (-scale * a_l, -scale * b_l))
+    return mat
 
 
 def _check_char_matches(p: MatrixPolynomial, c: SpectralLineArrangement) -> None:
@@ -297,24 +314,25 @@ def eigen_line_data(p: MatrixPolynomial, c: SpectralLineArrangement) -> tuple[Ei
     """Eigenvector data for every line.  The kernel over the rational
     function field must be one-dimensional on each line."""
     _check_char_matches(p, c)
-    return _eigen_line_data(p, c)
+    return _eigen_line_data(c, *_cleared_rows(p))
 
 
 def _eigen_line_data(
-    p: MatrixPolynomial, c: SpectralLineArrangement
+    c: SpectralLineArrangement, rows: list[list[IPoly]], scales: list[int]
 ) -> tuple[EigenLineData, ...]:
+    n = len(rows)
     out = []
-    for i in range(c.n):
-        mat = _line_matrix(p, c, i)
+    for i, line in enumerate(c.lines):
+        mat = _line_matrix(rows, scales, line)
         try:
             vec = poly_matrix_kernel_vector(mat)
         except StrataError as exc:
             raise StrataError(f"line {i}: eigenvector is not unique ({exc})") from None
         # M v = 0 on the integer rows; v is content-free, so integral
         ints = [tuple(x.numerator for x in q) for q in vec]
-        for r in range(p.n):
+        for r in range(n):
             acc: IPoly = ()
-            for s in range(p.n):
+            for s in range(n):
                 acc = int_poly_add(acc, int_poly_mul(mat[r][s], ints[s]))
             if acc:
                 raise AssertionError("eigenvector identity failed")
@@ -327,16 +345,33 @@ def gamma_of(p: MatrixPolynomial, c: SpectralLineArrangement) -> Subgraph:
     the eigenspace there is one-dimensional, drop it when it is
     two-dimensional."""
     _check_char_matches(p, c)
-    return _gamma(p, c)
+    return _gamma(c, *_cleared_rows(p), p.m)
 
 
-def _gamma(p: MatrixPolynomial, c: SpectralLineArrangement) -> Subgraph:
+def _node_rank(
+    rows: list[list[IPoly]], scales: list[int], m: int, lam: Fraction, mu: Fraction
+) -> int:
+    """Rank of P(lam) - mu Id for the degree-m polynomial whose cleared
+    rows are `rows`.  With lam = p/q and mu = r/s, row i of the rational
+    matrix times s q^m scales[i] is the integer row whose entries are s
+    times the homogeneous form sum_k c_k p^k q^(m-k) of the cleared
+    entries, minus scales[i] r q^m on the diagonal; scaling rows by
+    nonzero integers keeps the rank."""
+    p, q = lam.numerator, lam.denominator
+    weights = [mu.denominator * p**k * q ** (m - k) for k in range(m + 1)]
+    mat = [[sum(c * w for c, w in zip(e, weights)) for e in row] for row in rows]
+    shift = mu.numerator * q**m
+    for i, scale in enumerate(scales):
+        mat[i][i] -= scale * shift
+    return int_rank(mat)
+
+
+def _gamma(
+    c: SpectralLineArrangement, rows: list[list[IPoly]], scales: list[int], m: int
+) -> Subgraph:
     kept = set()
     for k, (lam, mu, _, _) in enumerate(c.nodes):
-        mat = p.evaluate(lam)
-        for i in range(p.n):
-            mat[i][i] -= mu
-        kernel_dim = p.n - rank(mat)
+        kernel_dim = len(rows) - _node_rank(rows, scales, m, lam, mu)
         if kernel_dim == 1:
             kept.add(k)
         elif kernel_dim != 2:
@@ -351,22 +386,27 @@ def divisor_of(p: MatrixPolynomial, c: SpectralLineArrangement) -> Divisor:
     """Divisor on the dual graph: per line, the maximal entry degree of the
     coprime polynomial eigenvector."""
     _check_char_matches(p, c)
-    return _divisor(p, c)
+    return _divisor(c, *_cleared_rows(p))
 
 
-def _divisor(p: MatrixPolynomial, c: SpectralLineArrangement) -> Divisor:
-    data = _eigen_line_data(p, c)
+def _divisor(
+    c: SpectralLineArrangement, rows: list[list[IPoly]], scales: list[int]
+) -> Divisor:
+    data = _eigen_line_data(c, rows, scales)
     return Divisor(c.dual_graph.vertices, tuple(d.dual_degree for d in data))
 
 
 def classify_polynomial(p: MatrixPolynomial, c: SpectralLineArrangement) -> StratumLabel:
     """Stratum label (eigenvector subgraph, divisor) of a matrix
     polynomial.  The characteristic polynomial is checked against the
-    arrangement once, here.  The divisor is always an indegree divisor on
-    the subgraph, which is asserted."""
+    arrangement once, here, and P's rows are cleared of denominators once:
+    the node ranks and the line matrices are built from those integer
+    rows.  The divisor is always an indegree divisor on the subgraph,
+    which is asserted."""
     _check_char_matches(p, c)
-    sub = _gamma(p, c)
-    d = _divisor(p, c)
+    rows, scales = _cleared_rows(p)
+    sub = _gamma(c, rows, scales, p.m)
+    d = _divisor(c, rows, scales)
     if is_indegree(sub.as_multigraph(), d) is None:
         raise AssertionError("computed divisor is not an indegree divisor of the subgraph")
     return StratumLabel(sub, d)
@@ -386,7 +426,29 @@ def reducibility(p: MatrixPolynomial) -> Reducibility:
     exhaust dimensions 1 and n-1.  Completely reducible means every
     invariant subspace has an invariant complement, and the only candidate
     complement is the span of the remaining eigenvectors.
+
+    The subsets are read off one eigenbasis pattern.  With right
+    eigenvectors v_j and left eigenvectors w_i of the leading coefficient,
+    w_i^T v_j = 0 for i != j and w_i^T v_i != 0, so the v_i-coordinate of
+    A v_j is proportional to w_i^T A v_j.  The span of {v_j : j in S} is
+    therefore invariant under A exactly when w_i^T A v_j = 0 for every
+    i not in S and j in S.  The links (i, j) with w_i^T A_k v_j != 0 for
+    some coefficient A_k are found once, as integer bilinear forms, and
+    each subset is checked against them.
     """
+    inv = _invariant_subsets(p)
+    if not inv:
+        return Reducibility.IRREDUCIBLE
+    everything = frozenset(range(p.n))
+    if all((everything - s) in inv for s in inv):
+        return Reducibility.COMPLETELY_REDUCIBLE
+    return Reducibility.REDUCIBLE_NOT_CR
+
+
+def _invariant_subsets(p: MatrixPolynomial) -> set[frozenset[int]]:
+    """The proper nonempty S such that the leading coefficient's
+    eigenvectors with indices in S (eigenvalues in increasing order) span
+    a subspace invariant under every coefficient."""
     n = p.n
     if n > 3:
         raise StrataError("reducibility is decided only for n <= 3")
@@ -397,7 +459,7 @@ def reducibility(p: MatrixPolynomial) -> Reducibility:
         raise StrataError(
             "leading coefficient must have n distinct rational eigenvalues"
         )
-    eigvecs = []
+    right = []
     for b in roots:
         shifted = [
             [lead[i][j] - (b if i == j else 0) for j in range(n)] for i in range(n)
@@ -405,35 +467,40 @@ def reducibility(p: MatrixPolynomial) -> Reducibility:
         basis = nullspace(shifted)
         if len(basis) != 1:
             raise StrataError("leading coefficient is not diagonalisable with simple spectrum")
-        eigvecs.append(basis[0])
-    if det(eigvecs) == 0:
+        denom = math.lcm(*(x.denominator for x in basis[0]))
+        right.append([x.numerator * (denom // x.denominator) for x in basis[0]])
+    # The cofactors of row i of the (integer) eigenvector matrix form a left
+    # eigenvector w_i with w_i^T v_j = det * (i == j); the same expansion
+    # gives the determinant for the independence check.
+    ring = (0, 1, operator.mul, operator.add, operator.neg)
+    expansions = [cofactor_expansion(right, i, *ring) for i in range(n)]
+    if expansions[0][0] == 0:
         raise AssertionError("eigenvectors of distinct eigenvalues must be independent")
 
-    def invariant(subset: tuple[int, ...]) -> bool:
-        span = [eigvecs[k] for k in subset]
-        for mat in p.coefficients:
-            for k in subset:
-                image = [
-                    sum(mat[i][j] * eigvecs[k][j] for j in range(n)) for i in range(n)
-                ]
-                stacked = [[row[i] for row in span] + [image[i]] for i in range(n)]
-                if rank(stacked) != len(span):
-                    return False
-        return True
-
-    invariant_subsets = [
-        subset
+    # Row r of P is cleared row r over scales[r], so with top = lcm(scales)
+    # the coefficients of top w^T P(lambda) v are those of
+    # sum_r w[r] (top / scales[r]) (cleared rows times v)[r], all integers.
+    rows, scales = _cleared_rows(p)
+    top = math.lcm(*scales)
+    duals = [[x * (top // sc) for x, sc in zip(w, scales)] for _, w in expansions]
+    links = set()
+    for j, v in enumerate(right):
+        image = [[0] * (p.m + 1) for _ in range(n)]
+        for r, row in enumerate(rows):
+            for s, entry in enumerate(row):
+                for k, c in enumerate(entry):
+                    image[r][k] += c * v[s]
+        for i, w in enumerate(duals):
+            if i != j and any(
+                sum(x * col[k] for x, col in zip(w, image)) for k in range(p.m + 1)
+            ):
+                links.add((i, j))
+    return {
+        frozenset(subset)
         for size in range(1, n)
         for subset in combinations(range(n), size)
-        if invariant(subset)
-    ]
-    if not invariant_subsets:
-        return Reducibility.IRREDUCIBLE
-    inv = {frozenset(s) for s in invariant_subsets}
-    everything = frozenset(range(n))
-    if all((everything - s) in inv for s in inv):
-        return Reducibility.COMPLETELY_REDUCIBLE
-    return Reducibility.REDUCIBLE_NOT_CR
+        if not any(j in subset and i not in subset for i, j in links)
+    }
 
 
 def poly_matrix_char(mat: RationalMatrix) -> QPoly:

@@ -327,6 +327,8 @@ class TestCliContract:
             ("strata", "components", {**E2_GRAPH, "m": 1, "n": "2"}),
             ("strata", "enumerate", {**E2_GRAPH, "m": 1, "n": 2.0}),
             ("--max-edges", "-1", "graph", "bpoly", E2_GRAPH),
+            ("matpoly", "reducibility", {"coeffs": [[]]}),
+            ("matpoly", "charpoly", {"coeffs": [[]]}),
         ],
     )
     def test_malformed_input_exits_2(self, args):

@@ -1,9 +1,10 @@
 import json
 import time
 from fractions import Fraction as F
+from itertools import combinations
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 from spectral_strata import (
     ArrangementError,
@@ -592,3 +593,296 @@ class TestUnequalRowDenominators:
                             entry = poly_add(entry, (-a, -b))
                         acc = poly_add(acc, poly_mul(entry, data.eigenvector[col]))
                     assert acc == ()
+
+
+# ---------------------------------------------------------------------------
+# integer node ranks and the eigenbasis reducibility test
+
+from spectral_strata import matpoly as matpoly_module
+from spectral_strata.exact import nullspace, rank, rational_roots
+
+FRACTIONAL_TWO = [("1/3", "-2/7"), ("-5/2", "3/4")]
+FRACTIONAL_THREE = FRACTIONAL_TWO + [("2/9999999967", "5/3")]
+MIXED_DENOMINATORS = (1, 2, 7, 9999999967, 10**10 + 19)
+SAMPLE_PARAMS = (["2"], ["-3/5"], ["7/9999999967"], ["5"], ["-1/3"])
+
+
+def _mat_mul(a, b):
+    n = len(a)
+    return [[sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
+
+
+def _inverse(a):
+    """Gauss-Jordan inverse over the Fractions."""
+    n = len(a)
+    m = [[F(x) for x in row] + [F(int(i == j)) for j in range(n)] for i, row in enumerate(a)]
+    for col in range(n):
+        pivot = next(i for i in range(col, n) if m[i][col] != 0)
+        m[col], m[pivot] = m[pivot], m[col]
+        m[col] = [x / m[col][col] for x in m[col]]
+        for i in range(n):
+            if i != col and m[i][col] != 0:
+                f = m[i][col]
+                m[i] = [x - f * y for x, y in zip(m[i], m[col])]
+    return [row[n:] for row in m]
+
+
+def _conjugate(p, s):
+    s_inv = _inverse(s)
+    return matrix_polynomial([_mat_mul(_mat_mul(s, a), s_inv) for a in p.coefficients])
+
+
+def _unipotent(n):
+    """I + N with N strictly upper triangular, mixed denominators."""
+    entries = [F(1, 7), F(-3, 10**10 + 19), F(5, 2), F(-2, 9999999967), F(4, 3), F(1)]
+    it = iter(entries)
+    return [[F(int(i == j)) if i >= j else next(it) for j in range(n)] for i in range(n)]
+
+
+def _general(n):
+    """A rational matrix with mixed denominators that is neither triangular
+    nor diagonal: a lower unipotent times an upper unipotent whose column j
+    is scaled by (j + 2) / (2 j + 3)."""
+    lower = [list(row) for row in zip(*_unipotent(n))]
+    upper = [[x * F(j + 2, 2 * j + 3) for j, x in enumerate(row)] for row in _unipotent(n)]
+    return _mat_mul(lower, upper)
+
+
+def _node_rank_oracle(p, lam, mu):
+    shifted = p.evaluate(lam)
+    for i in range(p.n):
+        shifted[i][i] -= mu
+    return p.n - len(nullspace(shifted))
+
+
+def _node_ranks(p, c):
+    rows, scales = matpoly_module._cleared_rows(p)
+    return [matpoly_module._node_rank(rows, scales, p.m, lam, mu) for lam, mu, _, _ in c.nodes]
+
+
+def _interior_label(arr):
+    return StratumLabel(
+        Subgraph(arr.dual_graph, frozenset({0, 1, 2})),
+        Divisor(arr.dual_graph.vertices, (1, 1, 1)),
+    )
+
+
+def _cubic_point(arr, t):
+    """(z, w) = (t (k - t) / (c1 c2 c3), t z) lies on the interior cubic."""
+    c1, c2, c3, k = interior_cubic_coefficients(arr)
+    z = t * (k - t) / (c1 * c2 * c3)
+    return [z, t * z]
+
+
+def stratum_samples(arr):
+    """One sample per stratum of a 2- or 3-line arrangement, from the first
+    non-degenerate parameters in a fixed list; every stratum is reached."""
+    shape = CurveShape(arr.dual_graph, 1, arr.n)
+    out = []
+    for s in enumerate_strata(shape):
+        if arr.n == 3 and s == _interior_label(arr):
+            candidates = [_cubic_point(arr, F(t)) for t in (2, -3, 5)]
+        else:
+            candidates = [vals * s.subgraph.n_edges for vals in SAMPLE_PARAMS]
+        for params in candidates:
+            try:
+                out.append((s, sample_stratum(arr, s, params)))
+                break
+            except SampleError:
+                continue
+        else:
+            raise AssertionError(f"no sample for {s}")
+    return out
+
+
+def _span_rank_invariant_subsets(p):
+    """The Fraction span-and-rank route: for each subset of the leading
+    coefficient's eigenvectors, stack the span and each image A_k v and
+    compare ranks."""
+    n = p.n
+    lead = p.leading
+    roots = rational_roots(matpoly_module.poly_matrix_char(lead))
+    eigvecs = [
+        nullspace([[lead[i][j] - (b if i == j else 0) for j in range(n)] for i in range(n)])[0]
+        for b in roots
+    ]
+
+    def invariant(subset):
+        span = [eigvecs[k] for k in subset]
+        for mat in p.coefficients:
+            for k in subset:
+                image = [sum(mat[i][j] * eigvecs[k][j] for j in range(n)) for i in range(n)]
+                stacked = [[row[i] for row in span] + [image[i]] for i in range(n)]
+                if rank(stacked) != len(span):
+                    return False
+        return True
+
+    return {
+        frozenset(subset)
+        for size in range(1, n)
+        for subset in combinations(range(n), size)
+        if invariant(subset)
+    }
+
+
+def _class_of(inv, n):
+    if not inv:
+        return Reducibility.IRREDUCIBLE
+    everything = frozenset(range(n))
+    if all(everything - s in inv for s in inv):
+        return Reducibility.COMPLETELY_REDUCIBLE
+    return Reducibility.REDUCIBLE_NOT_CR
+
+
+def _assert_reducibility_matches(p):
+    want = _span_rank_invariant_subsets(p)
+    assert matpoly_module._invariant_subsets(p) == want
+    assert reducibility(p) is _class_of(want, p.n)
+
+
+ENTRIES = st.one_of(
+    st.just(F(0)),
+    st.builds(
+        F,
+        st.integers(-(10**12), 10**12),
+        st.sampled_from(MIXED_DENOMINATORS),
+    ),
+    SMALL_RATIONALS,
+)
+LINE_DATA = st.fractions(min_value=-6, max_value=6, max_denominator=12)
+
+
+class TestIntegerNodeRanks:
+    @given(
+        st.lists(st.tuples(LINE_DATA, LINE_DATA), min_size=2, max_size=4),
+        st.integers(0, 2),
+        st.data(),
+    )
+    def test_random_polynomials_match_nullspace(self, lines, m, data):
+        try:
+            arr = line_arrangement(lines)
+        except ArrangementError:
+            assume(False)
+        n = data.draw(st.integers(1, 4))
+        coeffs = data.draw(
+            st.lists(
+                st.lists(st.lists(ENTRIES, min_size=n, max_size=n), min_size=n, max_size=n),
+                min_size=m + 1,
+                max_size=m + 1,
+            )
+        )
+        node = data.draw(st.sampled_from([None, *range(len(arr.nodes))]))
+        if node is not None:
+            # column 0 of P(lam) - mu Id vanishes at that node, so its rank drops
+            lam, mu = arr.nodes[node][:2]
+            for i in range(n):
+                higher = sum(coeffs[k][i][0] * lam**k for k in range(1, m + 1))
+                coeffs[0][i][0] = (mu if i == 0 else 0) - higher
+        p = matrix_polynomial(coeffs)
+        assert _node_ranks(p, arr) == [
+            _node_rank_oracle(p, lam, mu) for lam, mu, _, _ in arr.nodes
+        ]
+
+    @pytest.mark.parametrize("lines", [FRACTIONAL_TWO, FRACTIONAL_THREE])
+    def test_unipotent_conjugates_of_samples(self, lines):
+        arr = line_arrangement(lines)
+        assert any(lam.denominator > 1 and mu.denominator > 1 for lam, mu, _, _ in arr.nodes)
+        dims = set()
+        for label, p in stratum_samples(arr):
+            conj = _conjugate(p, _unipotent(arr.n))
+            for q in (p, conj):
+                got = _node_ranks(q, arr)
+                assert got == [_node_rank_oracle(q, lam, mu) for lam, mu, _, _ in arr.nodes]
+                dims.update(arr.n - r for r in got)
+            assert classify_polynomial(conj, arr) == label
+        assert dims == {1, 2}
+
+    def test_degree_two_node_ranks(self):
+        # lambda^2 terms with fractional lambda exercise q^m with m = 2
+        arr = line_arrangement(FRACTIONAL_THREE)
+        for _, p in stratum_samples(arr):
+            a0, a1 = p.coefficients
+            quad = [[F(x) * F(3, 7) for x in row] for row in a1]
+            padded = matrix_polynomial([a0, a1, quad])
+            assert _node_ranks(padded, arr) == [
+                _node_rank_oracle(padded, lam, mu) for lam, mu, _, _ in arr.nodes
+            ]
+
+
+class TestEigenbasisReducibility:
+    @pytest.mark.parametrize(
+        "lines", [TWO_LINES, THREE_LINES, FRACTIONAL_TWO, FRACTIONAL_THREE]
+    )
+    def test_conjugated_stratum_samples(self, lines):
+        arr = line_arrangement(lines)
+        samples = stratum_samples(arr)
+        if arr.n == 3:
+            assert any(label == _interior_label(arr) for label, _ in samples)
+        for s in (_general(arr.n), _unipotent(arr.n)):
+            for _, p in samples:
+                conj = _conjugate(p, s)
+                assert any(conj.leading[i][j] for i in range(arr.n) for j in range(arr.n) if i != j)
+                _assert_reducibility_matches(p)
+                _assert_reducibility_matches(conj)
+                _assert_reducibility_matches(conj.transpose())
+
+    def test_triangular_links_are_directed(self):
+        # upper triangular: span{v_0} is invariant, span{v_1} is not
+        arr = two_lines()
+        assert matpoly_module._invariant_subsets(orb2(arr)) == {frozenset({0})}
+        assert matpoly_module._invariant_subsets(orb3(arr)) == {frozenset({1})}
+
+    @given(
+        st.integers(2, 3).flatmap(
+            lambda n: st.tuples(
+                st.lists(st.sampled_from([F(0)] * 3 + [F(1), F(-2), F(1, 3), F(5, 9999999967)]),
+                         min_size=n * n, max_size=n * n),
+                st.lists(SMALL_RATIONALS, min_size=n * n, max_size=n * n),
+                st.lists(st.integers(-9, 9), min_size=n, max_size=n, unique=True),
+            )
+        )
+    )
+    def test_drawn_constant_terms(self, drawn):
+        pattern, s_entries, slopes = drawn
+        n = len(slopes)
+        s = [s_entries[i * n:(i + 1) * n] for i in range(n)]
+        assume(det(s) != 0)
+        b = [[F(slopes[i]) if i == j else F(0) for j in range(n)] for i in range(n)]
+        a0 = [pattern[i * n:(i + 1) * n] for i in range(n)]
+        _assert_reducibility_matches(_conjugate(matrix_polynomial([a0, b]), s))
+
+
+class TestIntegerRoutesCounted:
+    def test_no_rank_call(self, monkeypatch):
+        from spectral_strata import exact
+
+        def boom(matrix):
+            raise AssertionError("rank called")
+
+        for module in (exact, matpoly_module):
+            monkeypatch.setattr(module, "rank", boom, raising=False)
+        arr = line_arrangement(FRACTIONAL_THREE)
+        for label, p in stratum_samples(arr):
+            conj = _conjugate(p, _general(3))
+            assert classify_polynomial(conj, arr) == label
+            reducibility(conj)
+
+    def test_one_product_per_arrangement(self, monkeypatch):
+        from spectral_strata.matpoly import SpectralLineArrangement
+
+        prop = SpectralLineArrangement.__dict__["product"]
+        calls = []
+
+        def counted(self):
+            calls.append(self)
+            return original(self)
+
+        original = prop.func
+        monkeypatch.setattr(prop, "func", counted)
+        arr = two_lines()
+        for p in (orb1(arr), orb2(arr)):
+            classify_polynomial(p, arr)
+        assert len(calls) == 1
+        assert arrangement_product(arr) is arrangement_product(arr)
+        assert arrangement_product(two_lines()) == arrangement_product(arr)
+        assert len(calls) == 2
