@@ -36,7 +36,8 @@ from spectral_strata import (
     sample_stratum,
     tau,
 )
-from spectral_strata.exact import det, poly_add, poly_mul
+from spectral_strata import matpoly as matpoly_module
+from spectral_strata.exact import det, nullspace, poly_add, poly_mul, rank, rational_roots
 from spectral_strata.strata import CurveShape
 
 SMALL_RATIONALS = st.fractions(min_value=-5, max_value=5, max_denominator=4)
@@ -598,9 +599,6 @@ class TestUnequalRowDenominators:
 # ---------------------------------------------------------------------------
 # integer node ranks and the eigenbasis reducibility test
 
-from spectral_strata import matpoly as matpoly_module
-from spectral_strata.exact import nullspace, rank, rational_roots
-
 FRACTIONAL_TWO = [("1/3", "-2/7"), ("-5/2", "3/4")]
 FRACTIONAL_THREE = FRACTIONAL_TWO + [("2/9999999967", "5/3")]
 MIXED_DENOMINATORS = (1, 2, 7, 9999999967, 10**10 + 19)
@@ -674,7 +672,7 @@ def _cubic_point(arr, t):
     return [z, t * z]
 
 
-def stratum_samples(arr):
+def _stratum_samples(arr):
     """One sample per stratum of a 2- or 3-line arrangement, from the first
     non-degenerate parameters in a fixed list; every stratum is reached."""
     shape = CurveShape(arr.dual_graph, 1, arr.n)
@@ -788,7 +786,7 @@ class TestIntegerNodeRanks:
         arr = line_arrangement(lines)
         assert any(lam.denominator > 1 and mu.denominator > 1 for lam, mu, _, _ in arr.nodes)
         dims = set()
-        for label, p in stratum_samples(arr):
+        for label, p in _stratum_samples(arr):
             conj = _conjugate(p, _unipotent(arr.n))
             for q in (p, conj):
                 got = _node_ranks(q, arr)
@@ -800,7 +798,7 @@ class TestIntegerNodeRanks:
     def test_degree_two_node_ranks(self):
         # lambda^2 terms with fractional lambda exercise q^m with m = 2
         arr = line_arrangement(FRACTIONAL_THREE)
-        for _, p in stratum_samples(arr):
+        for _, p in _stratum_samples(arr):
             a0, a1 = p.coefficients
             quad = [[F(x) * F(3, 7) for x in row] for row in a1]
             padded = matrix_polynomial([a0, a1, quad])
@@ -815,7 +813,7 @@ class TestEigenbasisReducibility:
     )
     def test_conjugated_stratum_samples(self, lines):
         arr = line_arrangement(lines)
-        samples = stratum_samples(arr)
+        samples = _stratum_samples(arr)
         if arr.n == 3:
             assert any(label == _interior_label(arr) for label, _ in samples)
         for s in (_general(arr.n), _unipotent(arr.n)):
@@ -862,7 +860,7 @@ class TestIntegerRoutesCounted:
         for module in (exact, matpoly_module):
             monkeypatch.setattr(module, "rank", boom, raising=False)
         arr = line_arrangement(FRACTIONAL_THREE)
-        for label, p in stratum_samples(arr):
+        for label, p in _stratum_samples(arr):
             conj = _conjugate(p, _general(3))
             assert classify_polynomial(conj, arr) == label
             reducibility(conj)
