@@ -1,0 +1,268 @@
+"""Run a fixed list of spectral-strata CLI commands against two source
+trees and report every command whose stdout, stderr or exit code differs.
+
+    python scripts/compare_cli.py OLD_SRC NEW_SRC [--quick]
+
+OLD_SRC and NEW_SRC are directories holding the spectral_strata package
+(a checkout's src/).  Each tree runs every command in one worker
+interpreter with that tree first on sys.path; a command runs in-process
+as the console script would, with stdout and stderr captured as bytes.
+Paths of the tree are replaced by "<src>" in the captured text, so
+tracebacks compare equal when only the checkout differs.
+
+The commands:
+  * hasse export (dot and json) on K1..K5, on K5 in seeded edge orders,
+    and on seeded multigraphs (parallel edges, loops, isolated vertices);
+  * zonotope points|vertices --complete -1..7, plain, with --count and
+    with --format csv, and on the seeded multigraphs;
+  * strata local at the strata the lattice-hasse benchmark asks for;
+  * sample at every 2- and 3-line stratum of several arrangements, with
+    a few parameter sets and some rejected inputs; then matpoly
+    charpoly|classify|reducibility on each sample OLD_SRC printed and on
+    its transpose.
+
+--quick drops the K5 Hasse exports and keeps the first two benchmark
+seeds.  Exit status: 0 when every command agrees, 1 otherwise.  Uses the
+standard library only; the worker imports the package under test.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import io
+import itertools
+import json
+import math
+import random
+import subprocess
+import sys
+import traceback
+from fractions import Fraction
+from pathlib import Path
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+LOCAL_SEEDS = range(1, 9)
+ARRANGEMENTS = (
+    [[0, 1], [1, 2]],
+    [["1/2", "-3"], ["5/7", "4"]],
+    [[0, 1], [1, 2], [3, 4]],
+    [[0, 0], [1, 1], [0, 2]],
+    [["1/2", "1/3"], ["-2/5", "7/4"], ["3", "-1/6"]],
+    [["1234567890", "3"], ["-987654321", "1/1234567"], ["17/19", "-5"]],
+)
+PARAM_SETS = ("7", "2", "-3/4", "1234567891/3")
+EXCERPT = 300
+
+
+def _vertices(n: int) -> list[str]:
+    return [f"v{i + 1}" for i in range(n)]
+
+
+def _complete_edges(n: int) -> list[tuple[int, int]]:
+    return [(i, j) for i in range(n) for j in range(i + 1, n)]
+
+
+def _graph(n: int, edges) -> str:
+    names = _vertices(n)
+    return json.dumps({"vertices": names, "edges": [[names[u], names[v]] for u, v in edges]})
+
+
+def _multigraphs(count: int, loops: bool):
+    """Seeded multigraphs with up to 5 vertices and 7 edges, drawn with
+    replacement from the vertex pairs (loops too when asked)."""
+    rng = random.Random(20150617 + loops)
+    for _ in range(count):
+        k = rng.randint(1 if loops else 2, 5)
+        pairs = [(i, j) for i in range(k) for j in range(i if loops else i + 1, k)]
+        yield k, sorted(rng.choice(pairs) for _ in range(rng.randint(0, 7)))
+
+
+def _strata(n: int):
+    """(subgraph edge indices, divisor values) of every stratum on K_n:
+    each edge subset with the indegree vector of each of its
+    orientations."""
+    edges = _complete_edges(n)
+    for size in range(len(edges) + 1):
+        for subset in itertools.combinations(range(len(edges)), size):
+            seen = set()
+            for heads in itertools.product((0, 1), repeat=size):
+                values = [0] * n
+                for i, h in zip(subset, heads):
+                    values[edges[i][h]] += 1
+                seen.add(tuple(values))
+            for values in sorted(seen):
+                yield list(subset), values
+
+
+def _sqrt(x: Fraction):
+    num, den = math.isqrt(x.numerator), math.isqrt(x.denominator)
+    if x >= 0 and num * num == x.numerator and den * den == x.denominator:
+        return Fraction(num, den)
+    return None
+
+
+def _cubic_points(lines) -> list[list[str]]:
+    """Points (z, w), z and w nonzero, on the three-line interior cubic
+    w (k z - w) = c1 c2 c3 z^3 of the arrangement."""
+    (a1, b1), (a2, b2), (a3, b3) = [[Fraction(x) for x in line] for line in lines]
+    c1, c2, c3 = b3 - b2, b1 - b3, b2 - b1
+    k = c1 * a1 + c2 * a2 + c3 * a3
+    points = []
+    for z in range(1, 60):
+        root = _sqrt(k * k * z * z - 4 * c1 * c2 * c3 * z**3)
+        if root is not None:
+            points += [[str(z), str(w)] for w in ((k * z + root) / 2, (k * z - root) / 2) if w]
+    return points[:2]
+
+
+def first_commands(quick: bool) -> list[list[str]]:
+    cmds: list[list[str]] = []
+    for n in range(1, 6 if not quick else 5):
+        for fmt in ("dot", "json"):
+            cmds.append(["hasse", "export", _graph(n, _complete_edges(n)), "--format", fmt])
+    if not quick:
+        for seed in range(2):
+            order = random.Random(seed).sample(_complete_edges(5), 10)
+            cmds.append(["hasse", "export", _graph(5, order)])
+    for k, edges in _multigraphs(12, loops=False):
+        for fmt in ("dot", "json"):
+            cmds.append(["hasse", "export", _graph(k, edges), "--format", fmt])
+    for k, edges in _multigraphs(12, loops=True):
+        graph = _graph(k, edges)
+        cmds.append(["hasse", "export", graph])
+        cmds.append(["zonotope", "vertices", graph])
+        cmds.append(["zonotope", "points", graph, "--format", "csv"])
+    for n in range(-1, 8):
+        for what in ("points", "vertices"):
+            base = ["zonotope", what, "--complete", str(n)]
+            cmds += [base, base + ["--count"], base + ["--format", "csv"]]
+
+    sys.path.insert(0, str(BENCH))
+    from cli_workloads import lattice_requests
+
+    for seed in LOCAL_SEEDS if not quick else LOCAL_SEEDS[:2]:
+        for name, argv in lattice_requests(seed):
+            if name.startswith("local") and argv not in cmds:
+                cmds.append(argv)
+
+    for lines in ARRANGEMENTS:
+        n = len(lines)
+        for subgraph, values in _strata(n):
+            stratum = {"lines": lines, "subgraph": subgraph, "divisor": dict(zip(_vertices(n), values))}
+            if n == 3 and len(subgraph) == 3 and values == (1, 1, 1):
+                param_sets = _cubic_points(lines) + [["1", "1"]]
+            else:
+                param_sets = [[x] * len(subgraph) for x in PARAM_SETS]
+                param_sets.append(["0"] * len(subgraph) + ["1"])
+            for params in param_sets:
+                cmds.append(["sample", json.dumps({**stratum, "params": params})])
+    return cmds
+
+
+def second_commands(first: list[list[str]], results: list[dict]) -> list[list[str]]:
+    """matpoly commands on every sample the first tree printed."""
+    cmds = []
+    for argv, result in zip(first, results):
+        if argv[0] != "sample" or result["code"] != 0:
+            continue
+        poly = json.loads(result["stdout"])
+        transposed = {**poly, "coeffs": [[list(col) for col in zip(*mat)] for mat in poly["coeffs"]]}
+        arrangement = json.dumps({"lines": json.loads(argv[1])["lines"]})
+        for p in (poly, transposed):
+            text = json.dumps(p)
+            cmds += [
+                ["matpoly", "charpoly", text],
+                ["matpoly", "classify", text, "--arrangement", arrangement],
+                ["matpoly", "reducibility", text],
+            ]
+    return cmds
+
+
+# ---------------------------------------------------------------------------
+# worker: runs inside the tree under test
+
+
+def _capture(main, argv: list[str], src: str) -> dict:
+    out, err = io.BytesIO(), io.BytesIO()
+    saved = sys.stdout, sys.stderr
+    sys.stdout = io.TextIOWrapper(out, encoding="utf-8", newline="")
+    sys.stderr = io.TextIOWrapper(err, encoding="utf-8", newline="")
+    try:
+        main(args=argv, prog_name="spectral-strata")
+        code = 0
+    except SystemExit as exc:
+        code = exc.code if isinstance(exc.code, int) else (0 if exc.code is None else 1)
+    except Exception:
+        traceback.print_exc()
+        code = 1
+    finally:
+        # detach, so that dropping the wrappers does not close the buffers
+        sys.stdout.detach()
+        sys.stderr.detach()
+        sys.stdout, sys.stderr = saved
+    stdout = out.getvalue().replace(src.encode(), b"<src>")
+    stderr = err.getvalue().replace(src.encode(), b"<src>")
+    return {
+        "code": code,
+        "sha256": hashlib.sha256(stdout).hexdigest(),
+        # the matpoly phase reads a sample's stdout, so short ones are kept whole
+        "stdout": stdout.decode("utf-8", "backslashreplace")[: 1 << 16],
+        "stderr": stderr.decode("utf-8", "backslashreplace"),
+    }
+
+
+def worker(src: str) -> None:
+    sys.path.insert(0, src)
+    from spectral_strata.cli import main
+
+    commands = json.load(sys.stdin)
+    results = [_capture(main, argv, src) for argv in commands]
+    json.dump(results, sys.stdout)
+
+
+def run_tree(src: Path, commands: list[list[str]]) -> list[dict]:
+    proc = subprocess.run(
+        [sys.executable, __file__, "--worker", str(src)],
+        input=json.dumps(commands),
+        stdout=subprocess.PIPE,
+        text=True,
+        check=True,
+    )
+    return json.loads(proc.stdout)
+
+
+def compare(old: Path, new: Path, commands: list[list[str]]) -> tuple[list[dict], int]:
+    old_results, new_results = run_tree(old, commands), run_tree(new, commands)
+    differing = 0
+    for argv, a, b in zip(commands, old_results, new_results):
+        fields = [f for f in ("code", "sha256", "stderr") if a[f] != b[f]]
+        if fields:
+            differing += 1
+            print(f"DIFF {' '.join(argv)[:EXCERPT]}")
+            for f in fields:
+                shown = "stdout" if f == "sha256" else f
+                print(f"  {shown}: {a[shown][:EXCERPT]!r} -> {b[shown][:EXCERPT]!r}")
+    return old_results, differing
+
+
+def main(argv: list[str]) -> int:
+    if argv[:1] == ["--worker"]:
+        worker(argv[1])
+        return 0
+    quick = "--quick" in argv
+    paths = [a for a in argv if a != "--quick"]
+    if len(paths) != 2:
+        print(__doc__, file=sys.stderr)
+        return 2
+    old, new = (Path(p).resolve() for p in paths)
+    first = first_commands(quick)
+    old_results, differing = compare(old, new, first)
+    second = second_commands(first, old_results)
+    _, more = compare(old, new, second)
+    total = len(first) + len(second)
+    print(f"{total - differing - more} of {total} commands agree; {differing + more} differ")
+    return 1 if differing + more else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -11,6 +11,7 @@ from __future__ import annotations
 import functools
 import json
 import sys
+from itertools import islice
 from pathlib import Path
 
 import click
@@ -33,6 +34,9 @@ from . import strata as _strata
 from . import zonotope as _zonotope
 
 JSON_SEPARATORS = (", ", ": ")
+#: Lines of a DOT export written per chunk, so the whole text is never
+#: held in memory at once.
+DOT_CHUNK_LINES = 4096
 
 
 def _dumps(obj) -> str:
@@ -405,7 +409,9 @@ def hasse_export(max_edges: int, input_arg: str, fmt: str) -> None:
     g = _graph_from_any(read_json_input(input_arg))
     poset = _strata.hasse_diagram(g, max_edges)
     if fmt == "dot":
-        click.echo(_strata.hasse_to_dot(poset), nl=False)
+        lines = _strata.hasse_dot_lines(poset)
+        while chunk := "".join(islice(lines, DOT_CHUNK_LINES)):
+            click.echo(chunk, nl=False)
         return
     click.echo(
         _dumps(

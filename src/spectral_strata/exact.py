@@ -562,26 +562,34 @@ def poly_matrix_kernel_vector(matrix: Sequence[Sequence[QPoly]]) -> tuple[QPoly,
     determinant vanishes identically and whose rank over the rational
     function field is size-1 (unique eigendirection).
 
-    The adjugate transposes cofactors, and M adj(M) = det(M) Id = 0, so any
-    nonzero adjugate column spans the kernel.  One expansion along row 0
-    gives the determinant and adjugate column 0; rows 1, 2, ... are
-    expanded only while that column is zero.  The expansions run on the
-    denominator-cleared integer rows: that scales the determinant, and
-    every cofactor of a row, by one nonzero constant, so the zero tests and
-    the content-free result are those of the rational matrix.  Raises when
-    the adjugate is zero (kernel dimension at least two) or the
-    determinant is nonzero.
+    The kernel is int_poly_matrix_kernel_vector of the
+    denominator-cleared integer rows: clearing scales the determinant,
+    and every cofactor of a row, by one nonzero constant, so the zero
+    tests and the content-free result are those of the rational matrix.
+    Raises when the adjugate is zero (kernel dimension at least two) or
+    the determinant is nonzero.
     """
-    n = len(matrix)
-    if n == 1:
+    if len(matrix) == 1:
         if matrix[0][0]:
             raise StrataError("nonzero 1x1 matrix has trivial kernel")
         return (poly_const(1),)
     rows, _ = clear_row_denominators(matrix)
-    for row in range(n):
+    return _rational_vector(int_poly_matrix_kernel_vector(rows))
+
+
+def int_poly_matrix_kernel_vector(rows: Sequence[Sequence[IPoly]]) -> tuple[IPoly, ...]:
+    """Content-free kernel vector of a square matrix of integer
+    polynomials, under the conditions of poly_matrix_kernel_vector.
+
+    The adjugate transposes cofactors, and M adj(M) = det(M) Id = 0, so any
+    nonzero adjugate column spans the kernel.  One expansion along row 0
+    gives the determinant and adjugate column 0; rows 1, 2, ... are
+    expanded only while that column is zero.
+    """
+    for row in range(len(rows)):
         total, column = cofactor_expansion(rows, row, *_INT_POLY_RING)
         if row == 0 and total:
             raise StrataError("matrix has nonzero determinant; kernel is trivial")
         if any(column):
-            return _rational_vector(_content_free_ints(column))
+            return _content_free_ints(column)
     raise StrataError("adjugate vanishes: kernel dimension is at least two")

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 from .errors import CapExceededError, GraphConstructionError
@@ -118,7 +119,7 @@ class Subgraph:
         if not all(0 <= i < self.parent.n_edges for i in self.edge_set):
             raise GraphConstructionError("edge_set contains an unknown edge index")
 
-    @property
+    @cached_property
     def bitmask(self) -> int:
         return sum(1 << i for i in self.edge_set)
 
@@ -126,8 +127,12 @@ class Subgraph:
     def n_edges(self) -> int:
         return len(self.edge_set)
 
-    def edge_list(self) -> tuple[int, ...]:
+    @cached_property
+    def _sorted_edges(self) -> tuple[int, ...]:
         return tuple(sorted(self.edge_set))
+
+    def edge_list(self) -> tuple[int, ...]:
+        return self._sorted_edges
 
     def contains(self, other: "Subgraph") -> bool:
         return self.parent == other.parent and other.edge_set <= self.edge_set

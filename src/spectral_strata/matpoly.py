@@ -24,12 +24,14 @@ from .exact import (
     BivarTerms,
     IPoly,
     QPoly,
+    _rational_vector,
     biv_add,
     biv_mul,
     biv_neg,
     clear_row_denominators,
     cofactor_expansion,
     int_poly_add,
+    int_poly_matrix_kernel_vector,
     int_poly_mul,
     int_rank,
     nullspace,
@@ -38,7 +40,6 @@ from .exact import (
     poly_const,
     poly_degree,
     poly_matrix_det,
-    poly_matrix_kernel_vector,
     poly_mul,
     rational_roots,
     sqrt_rational,
@@ -325,11 +326,10 @@ def _eigen_line_data(
     for i, line in enumerate(c.lines):
         mat = _line_matrix(rows, scales, line)
         try:
-            vec = poly_matrix_kernel_vector(mat)
+            ints = int_poly_matrix_kernel_vector(mat)
         except StrataError as exc:
             raise StrataError(f"line {i}: eigenvector is not unique ({exc})") from None
-        # M v = 0 on the integer rows; v is content-free, so integral
-        ints = [tuple(x.numerator for x in q) for q in vec]
+        vec = _rational_vector(ints)
         for r in range(n):
             acc: IPoly = ()
             for s in range(n):
@@ -466,7 +466,9 @@ def _invariant_subsets(p: MatrixPolynomial) -> set[frozenset[int]]:
         ]
         basis = nullspace(shifted)
         if len(basis) != 1:
-            raise StrataError("leading coefficient is not diagonalisable with simple spectrum")
+            raise AssertionError(
+                "an eigenvalue of multiplicity one must have a one-dimensional eigenspace"
+            )
         denom = math.lcm(*(x.denominator for x in basis[0]))
         right.append([x.numerator * (denom // x.denominator) for x in basis[0]])
     # The cofactors of row i of the (integer) eigenvector matrix form a left

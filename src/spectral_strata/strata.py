@@ -17,14 +17,18 @@ bitmask order it builds the term map of x^D times the product of
 (x_u + x_v) over a subset from the map of the subset without its lowest
 edge, by the step b_polynomial also folds; every term carries its
 coefficient and a witness orientation whose indegree is checked.
-enumerate_strata, stratum_rows, cr_strata and hasse_diagram (covers from
-the (bitmask, divisor) keys) walk all edges from D = 0; local_model walks
-the edges outside a stratum from its divisor, so its coefficients are
-relative multiplicities.  Only stratum_rows and cr_strata compute
-interior flags (strict subset inequalities) and check them against the
-totally cyclic witnesses.  irreducible_components reads b_polynomial, as
-its top row is one chain of e steps.  No flow search runs on these
-labels; labels from a caller are checked by max flow (_validate_stratum).
+enumerate_strata, stratum_rows, cr_strata and hasse_diagram walk all
+edges from D = 0.  hasse_diagram keys each (bitmask, divisor) pair by one
+integer, the digits of the bitmask and the divisor in radix e+1, so a
+cover is the lower key plus a fixed offset per (edge, head) and costs one
+lookup; hasse_dot_lines renders the poset line by line, which lets the
+CLI stream it.  local_model walks the edges outside a stratum from its
+divisor, so its coefficients are relative multiplicities.  Only
+stratum_rows and cr_strata compute interior flags (strict subset
+inequalities) and check them against the totally cyclic witnesses.
+irreducible_components reads b_polynomial, as its top row is one chain of
+e steps.  No flow search runs on these labels; labels from a caller are
+checked by max flow (_validate_stratum).
 """
 
 from __future__ import annotations
@@ -255,25 +259,40 @@ def irreducible_components(c: CurveShape, max_edges: int = DEFAULT_MAX_EDGES) ->
 def hasse_diagram(g: Multigraph, max_edges: int = DEFAULT_MAX_EDGES) -> StrataPoset:
     """Poset of pairs (generating subgraph, indegree divisor) on a loopless
     graph, with covers adding one oriented edge; both are read off the
-    (bitmask, exponent) keys of the walk over all edges."""
+    walk over all edges.
+
+    A pair (mask, exponent) is keyed by the integer whose digits in radix
+    e+1 are mask, then exponent[0], ..., exponent[n-1] (no exponent
+    exceeds e), so keys ascend in element order.  Adding edge i with head
+    h adds 2^i (e+1)^n + (e+1)^(n-1-h) to the key: the covers of a pair
+    are one lookup each of its key plus its subgraph's offsets, and with
+    the offsets sorted they come out in index order."""
     if any(u == v for u, v in g.edges):
         raise StrataError("hasse_diagram requires a loopless graph")
+    e, n = g.n_edges, g.n_vertices
+    place = [(e + 1) ** (n - 1 - v) for v in range(n)]
+    high = (e + 1) ** n
     elements: list[StratumLabel] = []
-    index: dict[tuple[int, tuple[int, ...]], int] = {}
+    index: dict[int, int] = {}
+    # per element: its key and its subgraph's sorted offsets (one list
+    # shared by the subgraph's elements)
+    keyed: list[tuple[int, list[int]]] = []
     for mask, (sub, terms) in enumerate(_full_walk(g, max_edges)):
+        offsets = sorted(
+            (high << i) + place[head]
+            for i, (u, v) in enumerate(g.edges)
+            if not mask >> i & 1
+            for head in (u, v)
+        )
         for expo in sorted(terms):
-            index[mask, expo] = len(elements)
+            key = mask * high + sum(x * w for x, w in zip(expo, place))
+            index[key] = len(elements)
+            keyed.append((key, offsets))
             elements.append(StratumLabel(sub, Divisor(g.vertices, expo)))
-    covers: list[tuple[int, int]] = []
-    for (mask, expo), i in index.items():
-        for e, (u, v) in enumerate(g.edges):
-            if mask >> e & 1:
-                continue
-            for head in (u, v):
-                bumped = expo[:head] + (expo[head] + 1,) + expo[head + 1:]
-                covers.append((i, index[mask | 1 << e, bumped]))
-    covers.sort()
-    return StrataPoset(tuple(elements), tuple(covers))
+    covers = tuple(
+        (i, index[key + d]) for i, (key, offsets) in enumerate(keyed) for d in offsets
+    )
+    return StrataPoset(tuple(elements), covers)
 
 
 def path_count_multiplicity(p: StrataPoset, s1: StratumLabel, s2: StratumLabel) -> int:
@@ -404,13 +423,18 @@ def stratum_report_json_obj(c: CurveShape, s: StratumLabel, max_edges: int = DEF
     }
 
 
-def hasse_to_dot(p: StrataPoset, name: str = "hasse") -> str:
-    """DOT text of the Hasse diagram; nodes are labelled 'bitmask|divisor'."""
-    lines = [f"digraph {name} {{", "  rankdir=BT;"]
+def hasse_dot_lines(p: StrataPoset, name: str = "hasse") -> Iterator[str]:
+    """The lines of hasse_to_dot, each ending in a newline."""
+    yield f"digraph {name} {{\n"
+    yield "  rankdir=BT;\n"
     for i, s in enumerate(p.elements):
         label = f"{s.subgraph.bitmask}|{','.join(map(str, s.divisor.values))}"
-        lines.append(f'  n{i} [label="{label}"];')
+        yield f'  n{i} [label="{label}"];\n'
     for a, b in p.cover_relations:
-        lines.append(f"  n{a} -> n{b};")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+        yield f"  n{a} -> n{b};\n"
+    yield "}\n"
+
+
+def hasse_to_dot(p: StrataPoset, name: str = "hasse") -> str:
+    """DOT text of the Hasse diagram; nodes are labelled 'bitmask|divisor'."""
+    return "".join(hasse_dot_lines(p, name))

@@ -6,6 +6,13 @@ exactly the indegree divisors, its vertices are the indegree divisors of
 orientations whose non-loop part is acyclic, and its interior points are
 the completely reducible divisors.  Everything here is decided
 combinatorially; no convex-hull machinery is involved.
+
+An acyclic orientation is the only orientation with its indegree vector,
+and an orientation with a directed cycle shares its vector with the one
+that reverses the cycle.  So the vertices are read off the b-polynomial of
+the loopless part, as its exponents with coefficient 1, shifted by the
+loops at each vertex; no orientation is enumerated
+(zonotope_vertices gives the proof).
 """
 
 from __future__ import annotations
@@ -19,13 +26,12 @@ from .graphs import (
     DEFAULT_MAX_EDGES,
     Divisor,
     Multigraph,
-    all_orientations,
     complete_graph,
     ensure_cap,
-    indeg,
 )
 from .indegree import (
     DivisorTag,
+    _bpoly_terms,
     _component_tables,
     _inequalities_hold,
     _inequality_tables,
@@ -89,35 +95,32 @@ def lattice_points(g: Multigraph, max_edges: int = DEFAULT_MAX_EDGES) -> list[Di
 def zonotope_vertices(g: Multigraph, max_edges: int = DEFAULT_MAX_EDGES) -> list[Divisor]:
     """Vertices of the zonotope: indegree divisors of orientations with no
     directed cycles apart from loops (acyclic orientations when the graph
-    is loopless), in lex order."""
+    is loopless), in lex order.
+
+    They are the exponents with coefficient 1 in the b-polynomial of the
+    loopless part, shifted by the loop count at each vertex.  Reversing a
+    directed cycle keeps the indegrees, so an orientation with a cycle
+    shares its indegree vector with another orientation.  Conversely, if
+    two orientations have the same indegrees, the edges on which they
+    differ have as many heads as tails at every vertex in either of them,
+    so they hold a directed cycle: an acyclic orientation is the only one
+    with its indegree vector.  A loop adds 1 to its vertex in both of its
+    orientations, so loops only double every coefficient and shift every
+    exponent.
+    """
     ensure_cap(g.n_edges, max_edges, "zonotope_vertices")
-    seen: set[tuple[int, ...]] = set()
-    for o in all_orientations(g, max_edges):
-        if _loopless_part_acyclic(o):
-            seen.add(indeg(o).values)
-    return [Divisor(g.vertices, v) for v in sorted(seen)]
-
-
-def _loopless_part_acyclic(o) -> bool:
-    g = o.graph
-    adj: dict[int, list[int]] = {i: [] for i in range(g.n_vertices)}
-    for i in range(g.n_edges):
-        t, h = o.arc(i)
-        if t != h:
-            adj[t].append(h)
-    colour = [0] * g.n_vertices
-
-    def dfs(x: int) -> bool:
-        colour[x] = 1
-        for y in adj[x]:
-            if colour[y] == 1:
-                return False
-            if colour[y] == 0 and not dfs(y):
-                return False
-        colour[x] = 2
-        return True
-
-    return all(dfs(x) for x in range(g.n_vertices) if colour[x] == 0)
+    loops = [0] * g.n_vertices
+    for u, v in g.edges:
+        if u == v:
+            loops[u] += 1
+    loopless = Multigraph(g.vertices, tuple((u, v) for u, v in g.edges if u != v))
+    terms = _bpoly_terms(loopless)
+    # adding the same vector to every exponent keeps their lex order
+    return [
+        Divisor(g.vertices, tuple(x + k for x, k in zip(expo, loops)))
+        for expo in sorted(terms)
+        if terms[expo] == 1
+    ]
 
 
 def is_interior(g: Multigraph, d: Divisor) -> bool:

@@ -89,6 +89,23 @@ class TestZonotopeCommands:
     def test_vertices_count(self):
         assert run_ok("zonotope", "vertices", "--complete", "3", "--count") == "6\n"
 
+    def test_vertices_without_orientation_sweep(self, monkeypatch):
+        # the vertices are read off the b-polynomial; no orientation is listed
+        import sys
+
+        from spectral_strata import graphs
+
+        def no_sweep(*args, **kwargs):
+            raise AssertionError("orientations swept for the zonotope vertices")
+
+        sweep = graphs.all_orientations
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] == "spectral_strata":
+                if getattr(module, "all_orientations", None) is sweep:
+                    monkeypatch.setattr(module, "all_orientations", no_sweep)
+        assert len(json.loads(run_ok("zonotope", "vertices", "--complete", "5"))) == 120
+        assert run_ok("zonotope", "vertices", "--complete", "5", "--count") == "120\n"
+
     def test_points_csv_matches_library(self):
         from spectral_strata import graph_from_json_obj, lattice_csv
 
@@ -217,6 +234,18 @@ class TestHasseCommands:
         loop = {"vertices": ["v"], "edges": [["v", "v"]]}
         result = run("hasse", "export", json.dumps(loop))
         assert result.exit_code == 2
+
+    @pytest.mark.parametrize("n,chunk", [(3, 1), (4, 7), (5, None)])
+    def test_streamed_dot_is_the_library_text(self, monkeypatch, n, chunk):
+        from spectral_strata import cli, graph_to_json_obj, hasse_diagram, hasse_to_dot
+        from spectral_strata.graphs import complete_graph
+
+        if chunk is not None:
+            monkeypatch.setattr(cli, "DOT_CHUNK_LINES", chunk)
+        g = complete_graph(n)
+        result = run("hasse", "export", json.dumps(graph_to_json_obj(g)))
+        assert result.exit_code == 0
+        assert result.stdout_bytes == hasse_to_dot(hasse_diagram(g)).encode()
 
 
 class TestMatpolyCommands:

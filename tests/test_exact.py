@@ -447,6 +447,24 @@ class TestIntegerKernels:
                 acc = poly_add(acc, poly_mul(a, b))
             assert acc == ()
 
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_integer_kernel_is_the_rational_one(self, n, seed):
+        # the rational entry clears the rows and calls the integer core
+        rng = random.Random(50 * n + seed)
+        rows = big_rows(rng, n - 1, n)
+        mat = rows + [[poly_add(a, b) for a, b in zip(rows[0], rows[-1])]]
+        cleared, _ = exact.clear_row_denominators(mat)
+        ints = exact.int_poly_matrix_kernel_vector(cleared)
+        assert all(isinstance(c, int) for p in ints for c in p)
+        assert poly_matrix_kernel_vector(mat) == tuple(poly([F(c) for c in p]) for p in ints)
+        full = big_rows(rng, n, n)
+        assert leibniz_det(full) != ()
+        with pytest.raises(StrataError, match="^matrix has nonzero determinant; kernel is trivial$"):
+            exact.int_poly_matrix_kernel_vector(exact.clear_row_denominators(full)[0])
+        with pytest.raises(StrataError, match="^adjugate vanishes: kernel dimension is at least two$"):
+            exact.int_poly_matrix_kernel_vector([[()] * n for _ in range(n)])
+
     @pytest.mark.parametrize("seed", range(60))
     def test_content_free_matches_fraction_reference(self, seed):
         rng = random.Random(seed)

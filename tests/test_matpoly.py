@@ -865,6 +865,37 @@ class TestIntegerRoutesCounted:
             assert classify_polynomial(conj, arr) == label
             reducibility(conj)
 
+    def test_line_kernels_take_the_cleared_rows(self, monkeypatch):
+        # P's rows are cleared once for char_poly and once for the node
+        # ranks and line matrices; the line kernels run on integers
+        from spectral_strata import exact
+
+        def no_clearing(matrix):
+            raise AssertionError("rational kernel route taken")
+
+        cleared = []
+        clear = matpoly_module.clear_row_denominators
+
+        def counted(matrix):
+            cleared.append(matrix)
+            return clear(matrix)
+
+        monkeypatch.setattr(exact, "clear_row_denominators", no_clearing)
+        monkeypatch.setattr(matpoly_module, "clear_row_denominators", counted)
+        arr = line_arrangement(FRACTIONAL_THREE)
+        samples = _stratum_samples(arr)
+        cleared.clear()  # the sampler classifies its own samples
+        for label, p in samples:
+            assert classify_polynomial(_conjugate(p, _general(3)), arr) == label
+        assert len(cleared) == 2 * len(samples)
+
+    def test_simple_eigenvalue_has_one_eigenvector(self, monkeypatch):
+        # unreachable once the roots are distinct; the check stays as an assert
+        monkeypatch.setattr(matpoly_module, "nullspace", lambda m: [[1] * len(m)] * 2)
+        arr = two_lines()
+        with pytest.raises(AssertionError, match="must have a one-dimensional eigenspace"):
+            reducibility(orb2(arr))
+
     def test_one_product_per_arrangement(self, monkeypatch):
         from spectral_strata.matpoly import SpectralLineArrangement
 

@@ -35,6 +35,7 @@ from spectral_strata import (
 )
 
 from spectral_strata.graphs import complete_graph
+from spectral_strata.strata import _full_walk
 
 from helpers import divisor, make_e2, make_k3, make_k4, make_loop, multigraphs, pair_types
 
@@ -396,6 +397,32 @@ def hasse_by_labels(g):
     return tuple(elements), tuple(sorted(covers))
 
 
+def tuple_keyed_covers(g):
+    """Covers by the construction that keys each stratum by the tuple
+    (bitmask, exponent) and builds each target by slicing the exponent."""
+    index = {}
+    for mask, (_, terms) in enumerate(_full_walk(g, g.n_edges)):
+        for expo in sorted(terms):
+            index[mask, expo] = len(index)
+    covers = []
+    for (mask, expo), i in index.items():
+        for e, (u, v) in enumerate(g.edges):
+            if mask >> e & 1:
+                continue
+            for head in (u, v):
+                bumped = expo[:head] + (expo[head] + 1,) + expo[head + 1:]
+                covers.append((i, index[mask | 1 << e, bumped]))
+    covers.sort()
+    return tuple(covers)
+
+
+def shuffled_complete_graph(n, seed):
+    k = complete_graph(n)
+    edges = list(k.edges)
+    random.Random(seed).shuffle(edges)
+    return Multigraph(k.vertices, tuple(edges))
+
+
 def census_by_labels(shape, s2):
     """The local census at s2 as (label, relative_multiplicity) items, over
     every label on a supersubgraph whose divisor dominates that of s2."""
@@ -481,6 +508,17 @@ class TestTableAgainstLabelByLabel:
         for g in family:
             poset = hasse_diagram(g)
             assert (poset.elements, poset.cover_relations) == hasse_by_labels(g)
+
+    @pytest.mark.parametrize("n,seed", [(n, seed) for n in range(1, 5) for seed in range(3)] + [(5, 0), (5, 1)])
+    def test_integer_keyed_covers_complete_graphs(self, n, seed):
+        g = shuffled_complete_graph(n, seed)
+        assert hasse_diagram(g).cover_relations == tuple_keyed_covers(g)
+
+    def test_integer_keyed_covers_seeded_multigraphs(self):
+        family = list(seeded_multigraphs(60, max_edges=8, loops=False))
+        assert any(len(set(g.edges)) < g.n_edges for g in family)
+        for g in family:
+            assert hasse_diagram(g).cover_relations == tuple_keyed_covers(g)
 
     @pytest.mark.parametrize("lines", [1, 2, 3])
     def test_local_census_lines(self, lines):

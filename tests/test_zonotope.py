@@ -1,13 +1,16 @@
 from itertools import permutations
+from math import factorial
 
 import pytest
 from hypothesis import given
 
 from spectral_strata import (
     StrataError,
+    all_orientations,
     build_graph,
     graphical_zonotope,
     halfspace_description,
+    indeg,
     is_interior,
     lattice_csv,
     lattice_points,
@@ -16,8 +19,36 @@ from spectral_strata import (
     tau,
     zonotope_vertices,
 )
+from spectral_strata.zonotope import permutohedron_graph
 
-from helpers import divisor, make_e2, make_k3, make_k4, make_loop, multigraphs
+from helpers import divisor, graph_family, make_e2, make_k3, make_k4, make_loop, multigraphs
+
+
+def _loopless_part_acyclic(o):
+    """Depth-first search for a directed cycle among the non-loop arcs."""
+    n = o.graph.n_vertices
+    adj = [[] for _ in range(n)]
+    for t, h in o.arcs():
+        if t != h:
+            adj[t].append(h)
+    colour = [0] * n
+
+    def dfs(x):
+        colour[x] = 1
+        for y in adj[x]:
+            if colour[y] == 1 or colour[y] == 0 and not dfs(y):
+                return False
+        colour[x] = 2
+        return True
+
+    return all(dfs(x) for x in range(n) if colour[x] == 0)
+
+
+def sweep_vertices(g):
+    """Vertex oracle that shares no code with the b-polynomial: the
+    indegree vectors of all 2^e orientations whose non-loop part is
+    acyclic, in lex order."""
+    return sorted({indeg(o).values for o in all_orientations(g) if _loopless_part_acyclic(o)})
 
 
 class TestLatticePoints:
@@ -56,6 +87,40 @@ class TestZonotopeVertices:
     def test_loop_plus_edge_segment(self):
         g = build_graph(["a", "b"], [("a", "a"), ("a", "b")])
         assert {d.values for d in zonotope_vertices(g)} == {(2, 0), (1, 1)}
+
+    @given(multigraphs(max_vertices=6, max_edges=7))
+    def test_matches_orientation_sweep(self, g):
+        assert [d.values for d in zonotope_vertices(g)] == sweep_vertices(g)
+
+    def test_matches_orientation_sweep_on_small_family(self):
+        # every multigraph on at most 3 vertices with at most 5 edges: loops,
+        # parallel edges, isolated vertices and several components all occur
+        family = list(graph_family(max_vertices=3, max_edges=5))
+        assert any(not g.is_connected() for g in family)
+        for g in family:
+            assert [d.values for d in zonotope_vertices(g)] == sweep_vertices(g)
+
+    def test_matches_orientation_sweep_on_mixed_graph(self):
+        # K3 beside a doubled edge, a looped vertex and an isolated one
+        g = build_graph(
+            ["a", "b", "c", "d", "e", "f", "g"],
+            [("a", "b"), ("a", "c"), ("b", "c"), ("d", "e"), ("d", "e"), ("f", "f"), ("a", "a")],
+        )
+        verts = [d.values for d in zonotope_vertices(g)]
+        assert verts == sweep_vertices(g)
+        assert len(verts) == 6 * 2
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_complete_graph_has_n_factorial_vertices(self, n):
+        g = permutohedron_graph(n)
+        verts = zonotope_vertices(g)
+        assert len(verts) == len(set(verts)) == factorial(n)
+        if n <= 5:
+            assert [d.values for d in verts] == sweep_vertices(g)
+
+    def test_edge_cap_message(self):
+        with pytest.raises(StrataError, match="^zonotope_vertices: 6 edges exceed the enumeration cap 5$"):
+            zonotope_vertices(make_k4(), max_edges=5)
 
     @given(multigraphs(max_edges=5))
     def test_vertices_have_minimal_multiplicity(self, g):
