@@ -16,6 +16,10 @@ The commands:
   * zonotope points|vertices --complete -1..7, plain, with --count and
     with --format csv, and on the seeded multigraphs;
   * strata local at the strata the lattice-hasse benchmark asks for;
+  * strata enumerate (JSON, --format csv, --table), cr and components
+    (plain and --count) for --lines 1..5, on shapes over the seeded
+    multigraphs (m = edge count, n = 2), and on a triangle with m = 1,
+    n = 2, whose strata would have negative dimension;
   * sample at every 2- and 3-line stratum of several arrangements, with
     a few parameter sets and some rejected inputs; then matpoly
     charpoly|classify|reducibility on each sample OLD_SRC printed and on
@@ -137,6 +141,22 @@ def first_commands(quick: bool) -> list[list[str]]:
             base = ["zonotope", what, "--complete", str(n)]
             cmds += [base, base + ["--count"], base + ["--format", "csv"]]
 
+    shapes = [["--lines", str(n)] for n in range(1, 6)]
+    for k, edges in itertools.chain(_multigraphs(12, loops=False), _multigraphs(12, loops=True)):
+        shape = {"graph": json.loads(_graph(k, edges)), "m": max(len(edges), 1), "n": 2}
+        shapes.append([json.dumps({"shape": shape})])
+    triangle = {"graph": json.loads(_graph(3, _complete_edges(3))), "m": 1, "n": 2}
+    shapes.append([json.dumps({"shape": triangle})])
+    for shape in shapes:
+        cmds += [
+            ["strata", "enumerate", *shape],
+            ["strata", "enumerate", *shape, "--format", "csv"],
+            ["strata", "enumerate", *shape, "--table"],
+            ["strata", "cr", *shape],
+            ["strata", "components", *shape],
+            ["strata", "components", *shape, "--count"],
+        ]
+
     sys.path.insert(0, str(BENCH))
     from cli_workloads import lattice_requests
 
@@ -241,7 +261,7 @@ def compare(old: Path, new: Path, commands: list[list[str]]) -> tuple[list[dict]
             print(f"DIFF {' '.join(argv)[:EXCERPT]}")
             for f in fields:
                 shown = "stdout" if f == "sha256" else f
-                print(f"  {shown}: {a[shown][:EXCERPT]!r} -> {b[shown][:EXCERPT]!r}")
+                print(f"  {shown}: {str(a[shown])[:EXCERPT]!r} -> {str(b[shown])[:EXCERPT]!r}")
     return old_results, differing
 
 

@@ -23,7 +23,7 @@ from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-from operator import ge, gt
+from operator import ge, lshift
 from typing import Mapping, Optional, Sequence
 
 from .errors import CapExceededError, GraphConstructionError, StrataError
@@ -267,24 +267,20 @@ def _subset_sums(weights: Sequence[int]) -> list[int]:
 def _component_tables(g: Multigraph) -> list[tuple[list[int], list[int]]]:
     """For every connected component: its members, and inside[S] = #edges
     with both ends in S for every bitmask S over the members.  Each S with
-    top member k is the same S without k, plus k's loops and k's edges to
-    the rest of S."""
+    top member k is the same S without k, plus k's loops (the last entry of
+    row k of to_lower) and k's edges to the rest of S (the other entries)."""
     out = []
     for comp in g.connected_components():
         members = sorted(comp)
         pos = {x: j for j, x in enumerate(members)}
-        loops = [0] * len(members)
-        to_lower = [[0] * k for k in range(len(members))]
+        to_lower = [[0] * (k + 1) for k in range(len(members))]
         for u, v in g.edges:
             if u in pos:
                 lo, hi = sorted((pos[u], pos[v]))
-                if lo == hi:
-                    loops[hi] += 1
-                else:
-                    to_lower[hi][lo] += 1
+                to_lower[hi][lo] += 1
         inside = [0]
-        for k, row in enumerate(to_lower):
-            inside += [t + a + loops[k] for t, a in zip(inside, _subset_sums(row))]
+        for row in to_lower:
+            inside += [t + a + row[-1] for t, a in zip(inside, _subset_sums(row[:-1]))]
         out.append((members, inside))
     return out
 
@@ -298,16 +294,31 @@ def _inequalities_hold(values: Sequence[int], tables) -> bool:
     return True
 
 
-def _strict_inequalities_hold(values: Sequence[int], tables) -> bool:
-    """D(S) > #edges inside S for every nonempty proper subset S of every
-    component: an indegree divisor D is interior (the completely reducible
-    class) exactly then."""
+def _interior_flags(expos: Sequence[Sequence[int]], bound: int, tables) -> list[bool]:
+    """For each exponent (entries >= 0), whether D(S) > #edges inside S
+    for every nonempty proper subset S of every component of tables: the
+    interior test, for all exponents at once.  bound is at least the edge
+    count and every exponent's sum.
+
+    Exponent j takes lane j, bits [w j, w j + w), of one int, with
+    w = bound.bit_length() + 1 and guard bit g = 2^(w-1) > bound.  Adding
+    one column per vertex over subsets puts D(S) in every lane; adding
+    g - 1 - inside[S] to each lane gives D(S) - inside[S] - 1 + g, in
+    [g - 1 - bound, g - 1 + bound], inside [0, 2^w).  So no lane borrows
+    from or carries into the next, and the guard bit is set exactly when
+    D(S) > inside[S]; ANDing over every S keeps it for interior exponents."""
+    w = bound.bit_length() + 1
+    shifts = range(0, w * len(expos), w)
+    ones = sum(1 << s for s in shifts)
+    guard = 1 << (w - 1)
+    flags = guard * ones
+    columns = [sum(map(lshift, column, shifts)) for column in zip(*expos)]
     for members, inside in tables:
-        if len(members) > 1:
-            sums = _subset_sums([values[x] for x in members])
-            if not all(map(gt, sums[1:-1], inside[1:-1])):
-                return False
-    return True
+        sums = _subset_sums([columns[v] for v in members])
+        for total, count in zip(sums[1:-1], inside[1:-1]):
+            flags &= total + (guard - 1 - count) * ones
+    bits = format(flags, f"0{w * len(expos)}b")[::-1]
+    return [bit == "1" for bit in bits[w - 1::w]]
 
 
 def _inequality_tables(g: Multigraph) -> list[tuple[list[int], list[int]]]:
@@ -440,51 +451,49 @@ def relative_multiplicity(
 # ---------------------------------------------------------------------------
 # classification
 
-def _arc_lists(o: Orientation) -> tuple[list[list[int]], list[list[int]]]:
-    """Out-neighbour and in-neighbour lists of every vertex."""
-    n = o.graph.n_vertices
-    fwd: list[list[int]] = [[] for _ in range(n)]
-    bwd: list[list[int]] = [[] for _ in range(n)]
-    for t, h in o.arcs():
-        fwd[t].append(h)
-        bwd[h].append(t)
-    return fwd, bwd
+def _closure(adj: list[int], start: int) -> int:
+    """Bitmask of the vertices reachable from the vertex bitmask start,
+    where adj[v] is the bitmask of v's neighbours."""
+    reach = frontier = start
+    while frontier:
+        low = frontier & -frontier
+        step = adj[low.bit_length() - 1] & ~reach
+        reach |= step
+        frontier = frontier ^ low | step
+    return reach
 
 
-def _reach(adj: list[list[int]], start: int) -> set[int]:
-    seen = {start}
-    stack = [start]
-    while stack:
-        for y in adj[stack.pop()]:
-            if y not in seen:
-                seen.add(y)
-                stack.append(y)
-    return seen
+def _totally_cyclic(n: int, pairs, flips) -> bool:
+    """totally_cyclic on n vertices, edge pairs and flips (True: from the
+    second vertex to the first), by out- and in-neighbour bitmasks.  The
+    forward and backward closures of v are equal exactly when they are v's
+    strong component with no arc in or out, so its connected component."""
+    fwd, bwd = [0] * n, [0] * n
+    for (u, v), flip in zip(pairs, flips):
+        if flip:
+            u, v = v, u
+        fwd[u] |= 1 << v
+        bwd[v] |= 1 << u
+    reached = 0
+    for v in range(n):
+        if not reached >> v & 1:
+            comp = _closure(fwd, 1 << v)
+            if _closure(bwd, 1 << v) != comp:
+                return False
+            reached |= comp
+    return True
 
 
 def strongly_connected(o: Orientation) -> bool:
-    """Every ordered vertex pair is joined by a directed path."""
-    n = o.graph.n_vertices
-    if n <= 1:
-        return True
-    fwd, bwd = _arc_lists(o)
-    return len(_reach(fwd, 0)) == n and len(_reach(bwd, 0)) == n
+    """Every ordered vertex pair is joined by a directed path: the graph
+    is connected and the orientation totally cyclic."""
+    return o.graph.is_connected() and totally_cyclic(o)
 
 
 def totally_cyclic(o: Orientation) -> bool:
     """Every edge lies on a directed cycle; equivalently each connected
-    component is strongly connected.  Loops lie on their own cycle.
-    Forward and backward reach from v are equal exactly when they are v's
-    strong component and no arc enters or leaves it, so v's component."""
-    fwd, bwd = _arc_lists(o)
-    reached: set[int] = set()
-    for v in range(o.graph.n_vertices):
-        if v not in reached:
-            comp = _reach(fwd, v)
-            if _reach(bwd, v) != comp:
-                return False
-            reached |= comp
-    return True
+    component is strongly connected.  Loops lie on their own cycle."""
+    return _totally_cyclic(o.graph.n_vertices, o.graph.edges, o.flips)
 
 
 def _interior_by_inequalities(g: Multigraph, d: Divisor) -> bool:

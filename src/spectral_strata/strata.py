@@ -23,9 +23,12 @@ integer, the digits of the bitmask and the divisor in radix e+1, so a
 cover is the lower key plus a fixed offset per (edge, head) and costs one
 lookup; hasse_dot_lines renders the poset line by line, which lets the
 CLI stream it.  local_model walks the edges outside a stratum from its
-divisor, so its coefficients are relative multiplicities.  Only
-stratum_rows and cr_strata compute interior flags (strict subset
-inequalities) and check them against the totally cyclic witnesses.
+divisor, so its coefficients are relative multiplicities.  stratum_rows
+and cr_strata read _strata_table, which does each subgraph's work once:
+the dimension check, the edge pairs, the component tables and the
+interior flags (strict subset inequalities) of all its divisors in one
+bit-parallel pass; each witness is checked to be totally cyclic on
+vertex bitmasks from its flips, with no Orientation built per stratum.
 irreducible_components reads b_polynomial, as its top row is one chain of
 e steps.  No flow search runs on these labels; labels from a caller are
 checked by max flow (_validate_stratum).
@@ -45,7 +48,6 @@ from .graphs import (
     DEFAULT_MAX_EDGES,
     Divisor,
     Multigraph,
-    Orientation,
     Subgraph,
     ensure_cap,
     generating_subgraphs,
@@ -54,13 +56,13 @@ from .indegree import (
     DivisorClass,
     DivisorTag,
     _component_tables,
-    _strict_inequalities_hold,
+    _interior_flags,
     _times_edge,
+    _totally_cyclic,
     classify,
     enumerate_indegree,
     is_indegree,
     relative_multiplicity,
-    totally_cyclic,
 )
 
 
@@ -137,12 +139,15 @@ def _validate_stratum(c: CurveShape, s: StratumLabel) -> None:
         raise StrataError("stratum divisor is not an indegree divisor of its subgraph")
 
 
-def _check_dimension(dim: int) -> None:
+def _dimension(c: CurveShape, n_edges: int) -> int:
+    """Dimension of the strata on a subgraph with n_edges edges (checked)."""
+    dim = c.top_dimension - c.dual_graph.n_edges + n_edges
     if dim < 0:
         raise StrataError(
             f"shape admits no such stratum: dimension {dim} is negative "
             "(more nodes than the degree bound permits)"
         )
+    return dim
 
 
 def _walk(g: Multigraph, edges: Sequence[int], base: tuple[int, ...]) -> Iterator[dict]:
@@ -176,18 +181,16 @@ def _full_walk(g: Multigraph, max_edges: int) -> Iterator[tuple[Subgraph, dict]]
     return zip(subgraphs, _walk(g, range(g.n_edges), (0,) * g.n_vertices))
 
 
-def _strata_table(
-    c: CurveShape, max_edges: int
-) -> Iterator[tuple[Subgraph, tuple[int, ...], int, Orientation, bool]]:
-    """Every stratum as (subgraph, divisor values, multiplicity, witness,
-    interior), in (bitmask, divisor) order."""
+def _strata_table(c: CurveShape, max_edges: int) -> Iterator[tuple[Subgraph, int, tuple, list]]:
+    """Per generating subgraph, by bitmask: the subgraph, its stratum
+    dimension (checked), its edge pairs and its strata as (divisor values,
+    multiplicity, witness flips, interior) in divisor order."""
     for sub, terms in _full_walk(c.dual_graph, max_edges):
+        dim = _dimension(c, sub.n_edges)
         graph = sub.as_multigraph()
-        tables = _component_tables(graph)
-        for expo in sorted(terms):
-            coeff, flips = terms[expo]
-            interior = _strict_inequalities_hold(expo, tables)
-            yield sub, expo, coeff, Orientation(graph, flips), interior
+        expos = sorted(terms)
+        flags = _interior_flags(expos, graph.n_edges, _component_tables(graph))
+        yield sub, dim, graph.edges, [(x, *terms[x], f) for x, f in zip(expos, flags)]
 
 
 def enumerate_strata(c: CurveShape, max_edges: int = DEFAULT_MAX_EDGES) -> list[StratumLabel]:
@@ -203,9 +206,7 @@ def enumerate_strata(c: CurveShape, max_edges: int = DEFAULT_MAX_EDGES) -> list[
 def stratum_dimension(c: CurveShape, s: StratumLabel) -> int:
     """m n (n-1)/2 minus the number of removed edges of the dual graph."""
     _validate_stratum(c, s)
-    dim = c.top_dimension - c.dual_graph.n_edges + s.subgraph.n_edges
-    _check_dimension(dim)
-    return dim
+    return _dimension(c, s.subgraph.n_edges)
 
 
 def adjacency_multiplicity(c: CurveShape, s1: StratumLabel, s2: StratumLabel) -> int:
@@ -230,8 +231,7 @@ def local_model(c: CurveShape, s2: StratumLabel, max_edges: int = DEFAULT_MAX_ED
     _validate_stratum(c, s2)
     g = c.dual_graph
     p = g.n_edges - s2.subgraph.n_edges
-    q = c.top_dimension - g.n_edges + s2.subgraph.n_edges
-    _check_dimension(q)
+    q = _dimension(c, s2.subgraph.n_edges)
     base = s2.subgraph.edge_set
     rest = sorted(set(range(g.n_edges)) - base)
     ensure_cap(len(rest), max_edges, "local_model")
@@ -329,16 +329,17 @@ def cr_strata(c: CurveShape, max_edges: int = DEFAULT_MAX_EDGES) -> list[Stratum
     stratification.  Both filters run on every stratum of the table: its
     witness orientation is totally cyclic, and its divisor satisfies the
     strict subset inequalities.  They must pick the same strata."""
+    vertices = c.dual_graph.vertices
     via_witness: list[tuple[Subgraph, tuple[int, ...]]] = []
     via_inequalities: list[tuple[Subgraph, tuple[int, ...]]] = []
-    for sub, values, _, witness, interior in _strata_table(c, max_edges):
-        if totally_cyclic(witness):
-            via_witness.append((sub, values))
-        if interior:
-            via_inequalities.append((sub, values))
+    for sub, _, pairs, strata in _strata_table(c, max_edges):
+        for values, _, flips, interior in strata:
+            if _totally_cyclic(len(vertices), pairs, flips):
+                via_witness.append((sub, values))
+            if interior:
+                via_inequalities.append((sub, values))
     if via_witness != via_inequalities:
         raise AssertionError("completely reducible index sets disagree")
-    vertices = c.dual_graph.vertices
     return [StratumLabel(sub, Divisor(vertices, values)) for sub, values in via_witness]
 
 
@@ -353,29 +354,25 @@ def stratum_class(c: CurveShape, s: StratumLabel) -> DivisorClass:
 def stratum_rows(c: CurveShape, max_edges: int = DEFAULT_MAX_EDGES) -> list[dict]:
     """Table rows for every stratum: id, edge bitmask, divisor, dimension,
     class, multiplicity (of the divisor on its subgraph)."""
-    g = c.dual_graph
+    vertices = c.dual_graph.vertices
+    cr, not_cr = DivisorTag.COMPLETELY_REDUCIBLE.value, DivisorTag.REDUCIBLE_NOT_CR.value
     rows = []
-    for sub, values, mult, witness, interior in _strata_table(c, max_edges):
-        dim = c.top_dimension - g.n_edges + sub.n_edges
-        _check_dimension(dim)
-        if interior:
+    for sub, dim, pairs, strata in _strata_table(c, max_edges):
+        for values, mult, flips, interior in strata:
             # any witness of an interior divisor is totally cyclic
-            if not totally_cyclic(witness):
+            if interior and not _totally_cyclic(len(vertices), pairs, flips):
                 raise AssertionError("interior divisor produced a non-cyclic witness")
-            tag = DivisorTag.COMPLETELY_REDUCIBLE
-        else:
-            tag = DivisorTag.REDUCIBLE_NOT_CR
-        rows.append(
-            {
-                "id": len(rows),
-                "edge_bitmask": sub.bitmask,
-                "subgraph_edges": list(sub.edge_list()),
-                "divisor": dict(zip(g.vertices, values)),
-                "dimension": dim,
-                "class": tag.value,
-                "multiplicity": mult,
-            }
-        )
+            rows.append(
+                {
+                    "id": len(rows),
+                    "edge_bitmask": sub.bitmask,
+                    "subgraph_edges": list(sub.edge_list()),
+                    "divisor": dict(zip(vertices, values)),
+                    "dimension": dim,
+                    "class": cr if interior else not_cr,
+                    "multiplicity": mult,
+                }
+            )
     return rows
 
 

@@ -35,7 +35,7 @@ from .indegree import (
     _component_tables,
     _inequalities_hold,
     _inequality_tables,
-    _strict_inequalities_hold,
+    _interior_flags,
     classify,
     enumerate_indegree,
     multiplicity,
@@ -182,18 +182,13 @@ def lattice_csv(g: Multigraph, max_edges: int = DEFAULT_MAX_EDGES) -> str:
     multiplicity, is_vertex, is_interior."""
     points = lattice_points(g, max_edges)
     verts = set(d.values for d in zonotope_vertices(g, max_edges))
-    tables = _component_tables(g)
+    interior = _interior_flags([d.values for d in points], g.n_edges, _component_tables(g))
     buf = io.StringIO()
     writer = _csv.writer(buf, lineterminator="\n")
     writer.writerow(list(g.vertices) + ["multiplicity", "is_vertex", "is_interior"])
-    for d in points:
+    for d, flag in zip(points, interior):
         writer.writerow(
             list(d.values)
-            + [
-                multiplicity(g, d),
-                str(d.values in verts).lower(),
-                # the strict subset inequalities decide is_interior
-                str(_strict_inequalities_hold(d.values, tables)).lower(),
-            ]
+            + [multiplicity(g, d), str(d.values in verts).lower(), str(flag).lower()]
         )
     return buf.getvalue()

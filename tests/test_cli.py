@@ -381,6 +381,19 @@ class TestCliContract:
         err = json.loads(result.output.strip().splitlines()[-1])
         assert err["error"]["type"] == "CapExceededError"
 
+    def test_cr_negative_dimension_exits_2(self):
+        # the dimension check is per subgraph, shared by enumerate and cr
+        shape = {"shape": {"graph": K3_GRAPH, "m": 1, "n": 2}}
+        for command in ("enumerate", "cr"):
+            result = run("strata", command, json.dumps(shape))
+            assert result.exit_code == 2
+            err = json.loads(result.output.strip().splitlines()[-1])
+            assert err["error"] == {
+                "type": "StrataError",
+                "message": "shape admits no such stratum: dimension -2 is negative "
+                "(more nodes than the degree bound permits)",
+            }
+
     def test_missing_file(self):
         result = run("graph", "bpoly", "no-such-file.json")
         assert result.exit_code == 2

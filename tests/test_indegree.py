@@ -421,4 +421,5 @@ class TestSubsetInequalityTables:
         g, d = case
         tables = indegree._component_tables(g)
         assert indegree._subset_inequalities_ok(g, d) == self.brute(g, d.values, False)
-        assert indegree._strict_inequalities_hold(d.values, tables) == self.brute(g, d.values, True)
+        bound = max(g.n_edges, d.degree)
+        assert indegree._interior_flags([d.values], bound, tables) == [self.brute(g, d.values, True)]

@@ -35,6 +35,12 @@ from spectral_strata import (
 )
 
 from spectral_strata.graphs import complete_graph
+from spectral_strata.indegree import (
+    _component_tables,
+    _interior_by_inequalities,
+    _interior_flags,
+    _totally_cyclic,
+)
 from spectral_strata.strata import _full_walk
 
 from helpers import divisor, make_e2, make_k3, make_k4, make_loop, multigraphs, pair_types
@@ -549,3 +555,94 @@ class TestTableAgainstLabelByLabel:
         shape = shape_lines(4)
         model = local_model(shape, label(shape, (), (0, 0, 0, 0)))
         assert sum(model.census.values()) == 3 ** 6
+
+
+def cyclic_by_reachability(n, pairs, flips):
+    """Every arc (t, h) has a directed path back from h to t."""
+    arcs = [(v, u) if flip else (u, v) for (u, v), flip in zip(pairs, flips)]
+    out = {x: [h for t, h in arcs if t == x] for x in range(n)}
+
+    def reachable(a, b):
+        stack, seen = [a], {a}
+        while stack:
+            for y in out[stack.pop()]:
+                if y not in seen:
+                    seen.add(y)
+                    stack.append(y)
+        return b in seen
+
+    return all(reachable(h, t) for t, h in arcs)
+
+
+class TestPerSubgraphKernels:
+    """The bit-parallel interior flags and the bitmask totally-cyclic test
+    against oracles that share no code with them: the frozenset subset
+    count of _interior_by_inequalities and reachability by search."""
+
+    def test_seeded_multigraphs(self):
+        family = list(seeded_multigraphs(100))
+        features = set()
+        for g in family:
+            edges = g.edges
+            features |= {
+                name
+                for name, present in (
+                    ("loop", any(u == v for u, v in edges)),
+                    ("parallel", len(set(edges)) < len(edges)),
+                    ("isolated", len({x for e in edges for x in e}) < g.n_vertices),
+                    ("components", sum(len(c) > 1 for c in g.connected_components()) > 1),
+                )
+                if present
+            }
+            for sub, terms in _full_walk(g, g.n_edges):
+                graph = sub.as_multigraph()
+                expos = sorted(terms)
+                flags = _interior_flags(expos, graph.n_edges, _component_tables(graph))
+                for expo, flag in zip(expos, flags):
+                    interior = _interior_by_inequalities(graph, Divisor(g.vertices, expo))
+                    assert flag == interior, (g, sub.edge_list(), expo)
+                    flips = terms[expo][1]
+                    cyclic = cyclic_by_reachability(g.n_vertices, graph.edges, flips)
+                    assert _totally_cyclic(g.n_vertices, graph.edges, flips) == cyclic
+                    # the witness of an interior divisor is totally cyclic
+                    assert cyclic == interior
+        assert features == {"loop", "parallel", "isolated", "components"}
+
+    @pytest.mark.parametrize("parallel", [70, 126, 127, 200])
+    def test_lanes_do_not_overflow(self, parallel):
+        # parallel edges a-b plus a loop at b: e = parallel + 1, with the
+        # exponents 0 and e side by side in both columns
+        g = Multigraph(("a", "b", "c"), ((0, 1),) * parallel + ((1, 1),))
+        e = g.n_edges
+        expos = [
+            (0, e, 0), (e, 0, 0), (0, e, 0), (1, e - 1, 0), (e - 1, 1, 0),
+            (e, 0, 0), (e // 2, e - e // 2, 0), (0, 0, e), (1, 2, e - 3), (e - 2, 2, 0),
+        ]
+        flags = _interior_flags(expos, e, _component_tables(g))
+        oracle = [_interior_by_inequalities(g, Divisor(g.vertices, x)) for x in expos]
+        assert flags == oracle
+        assert any(oracle) and not all(oracle)
+
+    def test_table_builds_no_orientation(self, monkeypatch):
+        # the table checks witnesses on their flips and edge pairs; an
+        # Orientation per stratum would be repeated work
+        from spectral_strata import graphs
+
+        shape = shape_lines(4)
+        cr = cr_strata(shape)
+
+        def no_orientation(self):
+            raise AssertionError("Orientation built for a stratum of the table")
+
+        monkeypatch.setattr(graphs.Orientation, "__post_init__", no_orientation)
+        assert len(stratum_rows(shape)) == 624
+        assert cr_strata(shape) == cr
+
+    def test_cr_negative_dimension_message(self):
+        g = build_graph(["a", "b", "c"], [("a", "b"), ("a", "c"), ("b", "c")])
+        with pytest.raises(StrataError) as info:
+            cr_strata(CurveShape(g, 1, 2))
+        assert str(info.value) == (
+            "shape admits no such stratum: dimension -2 is negative "
+            "(more nodes than the degree bound permits)"
+        )
