@@ -20,6 +20,10 @@ The commands:
     (plain and --count) for --lines 1..5, on shapes over the seeded
     multigraphs (m = edge count, n = 2), and on a triangle with m = 1,
     n = 2, whose strata would have negative dimension;
+  * strata adjacency at every ordered pair of 3-line strata, and on that
+    triangle shape between its full and empty strata;
+  * matpoly reducibility at n = 4..7: diagonal, upper triangular, cyclic
+    and conjugated leading-diagonal polynomials;
   * sample at every 2- and 3-line stratum of several arrangements, with
     a few parameter sets and some rejected inputs; then matpoly
     charpoly|classify|reducibility on each sample OLD_SRC printed and on
@@ -98,6 +102,33 @@ def _strata(n: int):
                 yield list(subset), values
 
 
+def _stratum_obj(subgraph, values) -> dict:
+    return {"subgraph": list(subgraph), "divisor": dict(zip(_vertices(len(values)), values))}
+
+
+def _reducibility_inputs(n: int) -> list:
+    """Degree-one n x n polynomials A_0 + lambda diag(1..n), as JSON
+    coefficient lists: A_0 diagonal, upper triangular, a directed n-cycle,
+    and the triangular one conjugated by I + E_(n-1),0."""
+    rng = random.Random(n)
+    lead = [[i + 1 if i == j else 0 for j in range(n)] for i in range(n)]
+    diag = [[rng.randint(-5, 5) if i == j else 0 for j in range(n)] for i in range(n)]
+    upper = [[rng.choice([-2, 1, 3]) if i < j else x for j, x in enumerate(row)] for i, row in enumerate(diag)]
+    cyclic = [[3 if j == (i + 1) % n else x for j, x in enumerate(row)] for i, row in enumerate(diag)]
+
+    def conjugate(mat):
+        # S M S^-1 with S = I + E_(n-1),0: add row 0 to row n-1, then
+        # subtract column n-1 from column 0
+        out = [list(row) for row in mat]
+        out[n - 1] = [x + y for x, y in zip(out[n - 1], out[0])]
+        for row in out:
+            row[0] -= row[n - 1]
+        return out
+
+    polys = [[diag, lead], [upper, lead], [cyclic, lead], [conjugate(upper), conjugate(lead)]]
+    return [[[[str(x) for x in row] for row in mat] for mat in p] for p in polys]
+
+
 def _sqrt(x: Fraction):
     num, den = math.isqrt(x.numerator), math.isqrt(x.denominator)
     if x >= 0 and num * num == x.numerator and den * den == x.denominator:
@@ -156,6 +187,18 @@ def first_commands(quick: bool) -> list[list[str]]:
             ["strata", "components", *shape],
             ["strata", "components", *shape, "--count"],
         ]
+
+    strata3 = list(_strata(3))
+    for upper, lower in itertools.product(strata3, repeat=2):
+        payload = {"lines": 3, "upper": _stratum_obj(*upper), "lower": _stratum_obj(*lower)}
+        cmds.append(["strata", "adjacency", json.dumps(payload)])
+    full, empty = _stratum_obj([0, 1, 2], [1, 1, 1]), _stratum_obj([], [0, 0, 0])
+    for upper, lower in ((full, empty), (empty, full)):
+        payload = {"shape": triangle, "upper": upper, "lower": lower}
+        cmds.append(["strata", "adjacency", json.dumps(payload)])
+    for n in range(4, 8):
+        for coeffs in _reducibility_inputs(n):
+            cmds.append(["matpoly", "reducibility", json.dumps({"coeffs": coeffs})])
 
     sys.path.insert(0, str(BENCH))
     from cli_workloads import lattice_requests

@@ -456,7 +456,7 @@ def matpoly_classify(input_arg: str, arrangement_arg: str) -> None:
 @click.argument("input_arg", metavar="INPUT")
 @handle_errors
 def matpoly_reducibility(input_arg: str) -> None:
-    """Invariant-subspace classification (n <= 3)."""
+    """Invariant-subspace classification (n <= 6)."""
     p = _matpoly.matpoly_from_json_obj(read_json_input(input_arg))
     click.echo(_dumps({"reducibility": _matpoly.reducibility(p).value}))
 

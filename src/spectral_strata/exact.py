@@ -7,6 +7,11 @@ int_rank.  rank clears a rational matrix's rows into it; matpoly hands it
 the integer matrices it builds directly (P(lambda) - mu Id at a node, each
 row scaled by a positive integer), so no Fraction is made on the way.
 
+nullspace, det, rank and poly_matrix_det are Fraction routines that no
+package path calls: matpoly runs on the integer routines.  They are the
+tests' Fraction reference for those routes, and the benchmark's tracer
+wraps them by name.
+
 One memoised cofactor expansion along a row gives the determinant and a
 column of the adjugate at once; polynomial-matrix determinants, adjugate
 kernels and matpoly's characteristic polynomial all read it.  It runs

@@ -34,18 +34,16 @@ from .exact import (
     int_poly_matrix_kernel_vector,
     int_poly_mul,
     int_rank,
-    nullspace,
     parse_rational,
     poly,
     poly_const,
     poly_degree,
-    poly_matrix_det,
     poly_mul,
     rational_roots,
     sqrt_rational,
 )
-from .graphs import Divisor, Multigraph, Subgraph, all_orientations, complete_graph, indeg
-from .indegree import is_indegree
+from .graphs import Divisor, Multigraph, Subgraph, complete_graph
+from .indegree import is_indegree, multiplicity
 from .strata import StratumLabel
 
 MAX_MATRIX_SIZE = 6
@@ -413,19 +411,22 @@ def classify_polynomial(p: MatrixPolynomial, c: SpectralLineArrangement) -> Stra
 
 
 # ---------------------------------------------------------------------------
-# reducibility (n <= 3)
+# reducibility (n <= 6)
 
 def reducibility(p: MatrixPolynomial) -> Reducibility:
-    """Invariant-subspace classification for n <= 3.
+    """Invariant-subspace classification for n <= 6, char_poly's cap.
 
     A subspace invariant under P(lambda) for every lambda is invariant
     under each coefficient, in particular under the leading coefficient,
     whose eigenvalues must be distinct rationals here.  Every invariant
     subspace is then spanned by a subset of its eigenvectors, so the
-    search is over the 2^n - 2 proper nonempty subsets; for n <= 3 these
-    exhaust dimensions 1 and n-1.  Completely reducible means every
-    invariant subspace has an invariant complement, and the only candidate
-    complement is the span of the remaining eigenvectors.
+    search is over the 2^n - 2 proper nonempty subsets, in every
+    dimension.  The eigenvalues are the rational roots of the leading
+    coefficient's characteristic polynomial, and each eigenvector is the
+    integer kernel vector of its line matrix, as in eigen_line_data.
+    Completely reducible means every invariant subspace has an invariant
+    complement, and the only candidate complement is the span of the
+    remaining eigenvectors.
 
     The subsets are read off one eigenbasis pattern.  With right
     eigenvectors v_j and left eigenvectors w_i of the leading coefficient,
@@ -450,27 +451,27 @@ def _invariant_subsets(p: MatrixPolynomial) -> set[frozenset[int]]:
     eigenvectors with indices in S (eigenvalues in increasing order) span
     a subspace invariant under every coefficient."""
     n = p.n
-    if n > 3:
-        raise StrataError("reducibility is decided only for n <= 3")
-    lead = p.leading
-    charpoly_w: QPoly = poly_matrix_char(lead)
-    roots = rational_roots(charpoly_w)
+    lead = MatrixPolynomial((p.leading,))
+    # at degree 0 in lambda, char_poly's mu-coefficients are det(lead - mu Id)
+    charpoly_w = char_poly(lead)
+    roots = rational_roots(poly([charpoly_w.coefficient(0, j) for j in range(n + 1)]))
     if len(roots) != n:
         raise StrataError(
             "leading coefficient must have n distinct rational eigenvalues"
         )
+    # lead - b Id is the line matrix of the horizontal line mu = b; its
+    # integer kernel vector is a right eigenvector of the leading coefficient
+    lead_rows, lead_scales = _cleared_rows(lead)
     right = []
     for b in roots:
-        shifted = [
-            [lead[i][j] - (b if i == j else 0) for j in range(n)] for i in range(n)
-        ]
-        basis = nullspace(shifted)
-        if len(basis) != 1:
+        mat = _line_matrix(lead_rows, lead_scales, (b, 0))
+        try:
+            ints = int_poly_matrix_kernel_vector(mat)
+        except StrataError:
             raise AssertionError(
                 "an eigenvalue of multiplicity one must have a one-dimensional eigenspace"
-            )
-        denom = math.lcm(*(x.denominator for x in basis[0]))
-        right.append([x.numerator * (denom // x.denominator) for x in basis[0]])
+            ) from None
+        right.append([e[0] if e else 0 for e in ints])
     # The cofactors of row i of the (integer) eigenvector matrix form a left
     # eigenvector w_i with w_i^T v_j = det * (i == j); the same expansion
     # gives the determinant for the independence check.
@@ -503,19 +504,6 @@ def _invariant_subsets(p: MatrixPolynomial) -> set[frozenset[int]]:
         for subset in combinations(range(n), size)
         if not any(j in subset and i not in subset for i, j in links)
     }
-
-
-def poly_matrix_char(mat: RationalMatrix) -> QPoly:
-    """det(mat - w Id) as a univariate polynomial in w."""
-    n = len(mat)
-    entries = [
-        [
-            poly([mat[i][j], -1]) if i == j else poly_const(mat[i][j])
-            for j in range(n)
-        ]
-        for i in range(n)
-    ]
-    return poly_matrix_det(entries)
 
 
 # ---------------------------------------------------------------------------
@@ -586,7 +574,8 @@ def sample_stratum(
     if s.subgraph.parent != c.dual_graph:
         raise SampleError("stratum does not belong to this arrangement")
     sub = s.subgraph.as_multigraph()
-    if is_indegree(sub, s.divisor) is None:
+    witness = is_indegree(sub, s.divisor)
+    if witness is None:
         raise SampleError("stratum divisor is not an indegree divisor of its subgraph")
     values = [parse_rational(x) for x in params]
     if any(v == 0 for v in values):
@@ -612,15 +601,13 @@ def sample_stratum(
         entries[2][1] = c1 * z
         entries[0][2] = c2 * z / w
     else:
-        witnesses = [
-            o for o in all_orientations(sub) if indeg(o).values == s.divisor.values
-        ]
-        if len(witnesses) != 1:
+        # a divisor of multiplicity one has exactly one orientation: the witness
+        if multiplicity(sub, s.divisor) != 1:
             raise SampleError(
                 "unsupported stratum: the divisor does not determine a unique "
                 "star pattern"
             )
-        arcs = list(witnesses[0].arcs())
+        arcs = list(witness.arcs())
         if len(values) != len(arcs):
             raise SampleError(f"expected {len(arcs)} parameters, got {len(values)}")
         for (t, h), v in zip(arcs, values):

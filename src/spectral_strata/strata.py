@@ -212,9 +212,13 @@ def stratum_dimension(c: CurveShape, s: StratumLabel) -> int:
 def adjacency_multiplicity(c: CurveShape, s1: StratumLabel, s2: StratumLabel) -> int:
     """Multiplicity of s1 along s2: the number of local branches of the
     closure of s1 at points of s2.  Zero iff s2 is not in the closure of
-    s1; greater than one means the closure is singular along s2."""
+    s1; greater than one means the closure is singular along s2.  Raises,
+    as stratum_dimension does, when either stratum's dimension is
+    negative."""
     _validate_stratum(c, s1)
     _validate_stratum(c, s2)
+    _dimension(c, s1.subgraph.n_edges)
+    _dimension(c, s2.subgraph.n_edges)
     if not s1.subgraph.contains(s2.subgraph):
         return 0
     diff = s1.divisor - s2.divisor

@@ -394,6 +394,21 @@ class TestCliContract:
                 "(more nodes than the degree bound permits)",
             }
 
+    def test_adjacency_negative_dimension_exits_2(self):
+        payload = {
+            "shape": {"graph": K3_GRAPH, "m": 1, "n": 2},
+            "upper": {"subgraph": [0, 1, 2], "divisor": {"v1": 1, "v2": 1, "v3": 1}},
+            "lower": {"subgraph": [], "divisor": {"v1": 0, "v2": 0, "v3": 0}},
+        }
+        result = run("strata", "adjacency", json.dumps(payload))
+        assert result.exit_code == 2
+        err = json.loads(result.output.strip().splitlines()[-1])
+        assert err["error"] == {
+            "type": "StrataError",
+            "message": "shape admits no such stratum: dimension -2 is negative "
+            "(more nodes than the degree bound permits)",
+        }
+
     def test_missing_file(self):
         result = run("graph", "bpoly", "no-such-file.json")
         assert result.exit_code == 2

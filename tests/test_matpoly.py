@@ -1,7 +1,8 @@
 import json
+import random
 import time
 from fractions import Fraction as F
-from itertools import combinations
+from itertools import combinations, cycle, product
 
 import pytest
 from hypothesis import assume, given, strategies as st
@@ -20,6 +21,7 @@ from spectral_strata import (
     char_poly,
     check_leading_condition,
     classification_to_json_obj,
+    classify,
     classify_polynomial,
     divisor_of,
     eigen_line_data,
@@ -37,7 +39,16 @@ from spectral_strata import (
     tau,
 )
 from spectral_strata import matpoly as matpoly_module
-from spectral_strata.exact import det, nullspace, poly_add, poly_mul, rank, rational_roots
+from spectral_strata.exact import (
+    det,
+    nullspace,
+    poly,
+    poly_add,
+    poly_matrix_det,
+    poly_mul,
+    rank,
+    rational_roots,
+)
 from spectral_strata.strata import CurveShape
 
 SMALL_RATIONALS = st.fractions(min_value=-5, max_value=5, max_denominator=4)
@@ -631,9 +642,10 @@ def _conjugate(p, s):
 
 
 def _unipotent(n):
-    """I + N with N strictly upper triangular, mixed denominators."""
+    """I + N with N strictly upper triangular, mixed denominators (the six
+    entries repeat from n = 5 on)."""
     entries = [F(1, 7), F(-3, 10**10 + 19), F(5, 2), F(-2, 9999999967), F(4, 3), F(1)]
-    it = iter(entries)
+    it = cycle(entries)
     return [[F(int(i == j)) if i >= j else next(it) for j in range(n)] for i in range(n)]
 
 
@@ -699,7 +711,8 @@ def _span_rank_invariant_subsets(p):
     compare ranks."""
     n = p.n
     lead = p.leading
-    roots = rational_roots(matpoly_module.poly_matrix_char(lead))
+    shifted = [[poly([lead[i][j], -int(i == j)]) for j in range(n)] for i in range(n)]
+    roots = rational_roots(poly_matrix_det(shifted))
     eigvecs = [
         nullspace([[lead[i][j] - (b if i == j else 0) for j in range(n)] for i in range(n)])[0]
         for b in roots
@@ -850,6 +863,133 @@ class TestEigenbasisReducibility:
         _assert_reducibility_matches(_conjugate(matrix_polynomial([a0, b]), s))
 
 
+# ---------------------------------------------------------------------------
+# reducibility beyond three lines
+
+BLOCKS_TWO = (
+    [("0", "-1"), ("2", "-2")],
+    [("1", "-3"), ("0", "4")],
+    [("5", "-5"), ("1", "-6")],
+)
+BLOCKS_THREE = ([("0", "2"), ("1", "3"), ("4", "5")], [("0", "-4"), ("1", "6"), ("3", "7")])
+
+
+def _block_sum(*polys):
+    """The direct sum of matrix polynomials of one degree."""
+    n = sum(p.n for p in polys)
+    coeffs = []
+    for k in range(polys[0].m + 1):
+        mat = [[F(0)] * n for _ in range(n)]
+        offset = 0
+        for p in polys:
+            for i, row in enumerate(p.coefficients[k]):
+                mat[offset + i][offset:offset + p.n] = row
+            offset += p.n
+        coeffs.append(mat)
+    return matrix_polynomial(coeffs)
+
+
+def _pattern_polynomial(n, arcs, rng):
+    """A_0 + lambda diag(b) with distinct integer slopes b, and A_0 with a
+    random diagonal and random nonzero entries at the given arcs."""
+    slopes = rng.sample(range(-9, 10), n)
+    a0 = [[F(rng.randint(-5, 5)) if i == j else F(0) for j in range(n)] for i in range(n)]
+    for i, j in arcs:
+        a0[i][j] = F(rng.choice([-3, -1, 1, 2, 5]), rng.choice([1, 2, 7]))
+    b = [[F(slopes[i]) if i == j else F(0) for j in range(n)] for i in range(n)]
+    return matrix_polynomial([a0, b])
+
+
+class TestReducibilityBeyondThree:
+    @pytest.mark.parametrize("n", [4, 5, 6])
+    def test_triangular_and_conjugated(self, n):
+        # span{e_0} is invariant under an upper triangular pattern
+        rng = random.Random(n)
+        for _ in range(3):
+            arcs = [(i, j) for i, j in combinations(range(n), 2) if rng.random() < 0.5]
+            p = _pattern_polynomial(n, arcs, rng)
+            assert reducibility(p) is not Reducibility.IRREDUCIBLE
+            _assert_reducibility_matches(p)
+            _assert_reducibility_matches(_conjugate(p, _general(n)))
+            _assert_reducibility_matches(_conjugate(p, _unipotent(n)).transpose())
+
+    @pytest.mark.parametrize("n", [4, 5, 6])
+    def test_cyclic_is_irreducible(self, n):
+        # a directed n-cycle in A_0 leaves no coordinate span invariant
+        rng = random.Random(10 + n)
+        for _ in range(2):
+            arcs = [(i, (i + 1) % n) for i in range(n)]
+            arcs += [(i, j) for i in range(n) for j in range(n) if i != j and rng.random() < 0.2]
+            p = _pattern_polynomial(n, arcs, rng)
+            for q in (p, _conjugate(p, _general(n))):
+                assert reducibility(q) is Reducibility.IRREDUCIBLE
+                _assert_reducibility_matches(q)
+
+    def test_block_sums_of_samples(self):
+        # direct sums of 2- and 3-line stratum samples, over the union of
+        # their arrangements: the oracle, and the class of the label
+        two = [[p for _, p in _stratum_samples(line_arrangement(x))] for x in BLOCKS_TWO]
+        three = [[p for _, p in _stratum_samples(line_arrangement(x))] for x in BLOCKS_THREE]
+        cases = [
+            (BLOCKS_TWO[:2], list(product(*two[:2]))),
+            ([BLOCKS_TWO[0], BLOCKS_THREE[0]], list(product(two[0], three[0]))),
+            (BLOCKS_TWO, list(product(*two))),
+            (BLOCKS_THREE, list(product(*three))[::9]),
+        ]
+        seen = set()
+        for blocks, parts in cases:
+            arr = line_arrangement([line for block in blocks for line in block])
+            for k, pieces in enumerate(parts):
+                p = _block_sum(*pieces)
+                red = reducibility(p)
+                seen.add((p.n, red))
+                _assert_reducibility_matches(p)
+                if k % 8 == 0:
+                    _assert_reducibility_matches(_conjugate(p, _general(p.n)))
+                label = classify_polynomial(p, arr)
+                divisor_class = classify(label.subgraph.as_multigraph(), label.divisor)
+                assert (red is Reducibility.IRREDUCIBLE) == divisor_class.irreducible
+                assert (red is not Reducibility.REDUCIBLE_NOT_CR) == (
+                    divisor_class.completely_reducible
+                )
+        assert {red for _, red in seen} == {
+            Reducibility.COMPLETELY_REDUCIBLE,
+            Reducibility.REDUCIBLE_NOT_CR,
+        }
+        assert {n for n, _ in seen} == {4, 5, 6}
+
+    def test_seven_lines_exceed_the_cap(self):
+        slopes = range(1, 8)
+        diag = [[F(b) if i == j else F(0) for j in range(7)] for i, b in enumerate(slopes)]
+        with pytest.raises(StrataError, match="exceeds the char_poly cap"):
+            reducibility(matrix_polynomial([diag, diag]))
+
+    def test_no_fraction_linear_algebra_or_orientation_sweep(self, monkeypatch):
+        import sys
+
+        from spectral_strata import exact, graphs
+
+        def boom(*args, **kwargs):
+            raise AssertionError("Fraction route or orientation sweep taken")
+
+        patched = {
+            "nullspace": exact.nullspace,
+            "poly_matrix_det": exact.poly_matrix_det,
+            "all_orientations": graphs.all_orientations,
+        }
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] == "spectral_strata":
+                for attr, original in patched.items():
+                    if getattr(module, attr, None) is original:
+                        monkeypatch.setattr(module, attr, boom)
+        for lines in (TWO_LINES, THREE_LINES, BLOCKS_THREE[1]):
+            for _, p in _stratum_samples(line_arrangement(lines)):
+                reducibility(p)
+                reducibility(_conjugate(p, _general(p.n)))
+        p = _block_sum(*(orb1(line_arrangement(x)) for x in BLOCKS_TWO))
+        assert reducibility(p) is Reducibility.COMPLETELY_REDUCIBLE
+
+
 class TestIntegerRoutesCounted:
     def test_no_rank_call(self, monkeypatch):
         from spectral_strata import exact
@@ -891,7 +1031,10 @@ class TestIntegerRoutesCounted:
 
     def test_simple_eigenvalue_has_one_eigenvector(self, monkeypatch):
         # unreachable once the roots are distinct; the check stays as an assert
-        monkeypatch.setattr(matpoly_module, "nullspace", lambda m: [[1] * len(m)] * 2)
+        def two_dimensional(rows):
+            raise StrataError("adjugate vanishes: kernel dimension is at least two")
+
+        monkeypatch.setattr(matpoly_module, "int_poly_matrix_kernel_vector", two_dimensional)
         arr = two_lines()
         with pytest.raises(AssertionError, match="must have a one-dimensional eigenspace"):
             reducibility(orb2(arr))

@@ -142,6 +142,23 @@ class TestAdjacency:
         assert s1.subgraph.contains(s2.subgraph)
         assert adjacency_multiplicity(shape, s1, s2) == 0
 
+    def test_negative_dimension_is_error(self):
+        # one matrix-polynomial parameter and three nodes: the empty
+        # subgraph's strata would have dimension -2
+        g = build_graph(["a", "b", "c"], [("a", "b"), ("a", "c"), ("b", "c")])
+        shape = CurveShape(g, 1, 2)
+        full = StratumLabel(Subgraph(g, frozenset(range(3))), Divisor(g.vertices, (1, 1, 1)))
+        empty = StratumLabel(Subgraph(g, frozenset()), Divisor(g.vertices, (0, 0, 0)))
+        for s1, s2 in ((full, empty), (empty, full)):
+            with pytest.raises(StrataError) as info:
+                adjacency_multiplicity(shape, s1, s2)
+            assert str(info.value) == (
+                "shape admits no such stratum: dimension -2 is negative "
+                "(more nodes than the degree bound permits)"
+            )
+        with pytest.raises(StrataError, match="dimension -2 is negative"):
+            stratum_report_json_obj(shape, full)
+
 
 class TestLocalModel:
     def test_two_lines_node(self):
