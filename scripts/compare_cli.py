@@ -15,7 +15,11 @@ The commands:
     and on seeded multigraphs (parallel edges, loops, isolated vertices);
   * zonotope points|vertices --complete -1..7, plain, with --count and
     with --format csv, and on the seeded multigraphs;
-  * strata local at the strata the lattice-hasse benchmark asks for;
+  * strata local at the strata the lattice-hasse benchmark asks for, at
+    every 3-line stratum, and at seeded strata of the multigraph shapes
+    below (the negative-dimension triangle included);
+  * hasse export (dot and json) and strata local on graphs whose vertex
+    names JSON must escape (quotes, backslashes, non-ASCII, "%");
   * strata enumerate (JSON, --format csv, --table), cr and components
     (plain and --count) for --lines 1..5, on shapes over the seeded
     multigraphs (m = edge count, n = 2), and on a triangle with m = 1,
@@ -59,6 +63,8 @@ ARRANGEMENTS = (
     [["1234567890", "3"], ["-987654321", "1/1234567"], ["17/19", "-5"]],
 )
 PARAM_SETS = ("7", "2", "-3/4", "1234567891/3")
+#: Vertex names that JSON must escape, or that a %-template must not read.
+ODD_NAMES = ['q"uote', "back\\slash", "café", "雪", "%d%s%%"]
 EXCERPT = 300
 
 
@@ -70,8 +76,8 @@ def _complete_edges(n: int) -> list[tuple[int, int]]:
     return [(i, j) for i in range(n) for j in range(i + 1, n)]
 
 
-def _graph(n: int, edges) -> str:
-    names = _vertices(n)
+def _graph(n: int, edges, names=None) -> str:
+    names = names or _vertices(n)
     return json.dumps({"vertices": names, "edges": [[names[u], names[v]] for u, v in edges]})
 
 
@@ -85,11 +91,12 @@ def _multigraphs(count: int, loops: bool):
         yield k, sorted(rng.choice(pairs) for _ in range(rng.randint(0, 7)))
 
 
-def _strata(n: int):
-    """(subgraph edge indices, divisor values) of every stratum on K_n:
-    each edge subset with the indegree vector of each of its
-    orientations."""
-    edges = _complete_edges(n)
+def _strata(n: int, edges=None):
+    """(subgraph edge indices, divisor values) of every stratum on K_n, or
+    on the graph with these edges: each edge subset with the indegree
+    vector of each of its orientations."""
+    if edges is None:
+        edges = _complete_edges(n)
     for size in range(len(edges) + 1):
         for subset in itertools.combinations(range(len(edges)), size):
             seen = set()
@@ -102,8 +109,21 @@ def _strata(n: int):
                 yield list(subset), values
 
 
-def _stratum_obj(subgraph, values) -> dict:
-    return {"subgraph": list(subgraph), "divisor": dict(zip(_vertices(len(values)), values))}
+def _stratum_obj(subgraph, values, names=None) -> dict:
+    names = names or _vertices(len(values))
+    return {"subgraph": list(subgraph), "divisor": dict(zip(names, values))}
+
+
+def _local_commands(shape: dict, n: int, edges, names=None, count=None) -> list[list[str]]:
+    """strata local on the shape at each of its strata, or at a seeded
+    sample of count of them."""
+    strata = list(_strata(n, edges))
+    if count is not None and len(strata) > count:
+        strata = random.Random(len(strata)).sample(strata, count)
+    return [
+        ["strata", "local", json.dumps({**shape, "stratum": _stratum_obj(*st, names)})]
+        for st in strata
+    ]
 
 
 def _reducibility_inputs(n: int) -> list:
@@ -176,8 +196,18 @@ def first_commands(quick: bool) -> list[list[str]]:
     for k, edges in itertools.chain(_multigraphs(12, loops=False), _multigraphs(12, loops=True)):
         shape = {"graph": json.loads(_graph(k, edges)), "m": max(len(edges), 1), "n": 2}
         shapes.append([json.dumps({"shape": shape})])
+        cmds += _local_commands({"shape": shape}, k, edges, count=24)
     triangle = {"graph": json.loads(_graph(3, _complete_edges(3))), "m": 1, "n": 2}
     shapes.append([json.dumps({"shape": triangle})])
+    cmds += _local_commands({"shape": triangle}, 3, _complete_edges(3))
+    cmds += _local_commands({"lines": 3}, 3, _complete_edges(3))
+    for k, edges in ((4, _complete_edges(4)), (5, [(0, 1), (0, 1), (1, 2), (2, 2), (0, 2)])):
+        names = ODD_NAMES[:k]
+        graph = _graph(k, edges, names)
+        for fmt in ("dot", "json"):
+            cmds.append(["hasse", "export", graph, "--format", fmt])
+        shape = {"graph": json.loads(graph), "m": len(edges), "n": 2}
+        cmds += _local_commands({"shape": shape}, k, edges, names, count=40)
     for shape in shapes:
         cmds += [
             ["strata", "enumerate", *shape],

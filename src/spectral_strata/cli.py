@@ -11,8 +11,9 @@ from __future__ import annotations
 import functools
 import json
 import sys
-from itertools import islice
+from itertools import chain, islice
 from pathlib import Path
+from typing import Iterable, Iterator
 
 import click
 
@@ -34,13 +35,44 @@ from . import strata as _strata
 from . import zonotope as _zonotope
 
 JSON_SEPARATORS = (", ", ": ")
-#: Lines of a DOT export written per chunk, so the whole text is never
-#: held in memory at once.
+#: Pieces (DOT lines, JSON array items) of a streamed output written per
+#: chunk, so the whole text is never held in memory at once.
 DOT_CHUNK_LINES = 4096
 
 
 def _dumps(obj) -> str:
     return json.dumps(obj, separators=JSON_SEPARATORS)
+
+
+def _echo_stream(pieces: Iterable[str]) -> None:
+    """Write the pieces to stdout, DOT_CHUNK_LINES of them per chunk."""
+    pieces = iter(pieces)
+    while chunk := list(islice(pieces, DOT_CHUNK_LINES)):
+        click.echo("".join(chunk), nl=False)
+
+
+def _json_array(items: Iterable[str]) -> Iterator[str]:
+    """The _dumps text of a list whose items are already rendered: "[",
+    then the items joined by ", ", then "]"."""
+    yield "["
+    for i, item in enumerate(items):
+        yield ", " + item if i else item
+    yield "]"
+
+
+def _label_texts(g: Multigraph, rows: Iterable[tuple]) -> Iterator[str]:
+    """For rows (edge bitmask, divisor values, ...) in bitmask order: the
+    _dumps text of each {"subgraph": [...], "divisor": {...}} object
+    without its closing brace.  Vertex names are encoded once, into a
+    %-template of the divisor, and each subgraph's prefix once."""
+    divisor = ", ".join(json.dumps(v).replace("%", "%%") + ": %d" for v in g.vertices)
+    mask = template = None
+    for row in rows:
+        if row[0] != mask:
+            mask = row[0]
+            edges = [i for i in range(g.n_edges) if mask >> i & 1]
+            template = '{"subgraph": ' + _dumps(edges) + ', "divisor": {' + divisor + "}"
+        yield template % row[1]
 
 
 def read_json_input(source: str) -> dict:
@@ -357,11 +389,12 @@ def strata_local(max_edges: int, input_arg: str) -> None:
     obj = read_json_input(input_arg)
     shape = _shape_from_obj(obj)
     s = _stratum_from_obj(shape.dual_graph, obj.get("stratum"))
-    model = _strata.local_model(shape, s, max_edges)
-    census = [
-        {**_stratum_obj(label), "multiplicity": m} for label, m in model.census.items()
-    ]
-    click.echo(_dumps({"p": model.p, "q": model.q, "census": census}))
+    p, q, rows = _strata._local_rows(shape, s, max_edges)
+    census = (
+        f'{text}, "multiplicity": {row[2]}}}'
+        for text, row in zip(_label_texts(shape.dual_graph, rows), rows)
+    )
+    _echo_stream(chain([f'{{"p": {p}, "q": {q}, "census": '], _json_array(census), ["}\n"]))
 
 
 @strata.command("components")
@@ -407,18 +440,17 @@ def hasse() -> None:
 def hasse_export(max_edges: int, input_arg: str, fmt: str) -> None:
     """Export the Hasse diagram of a graph JSON."""
     g = _graph_from_any(read_json_input(input_arg))
-    poset = _strata.hasse_diagram(g, max_edges)
+    elements, covers = _strata._hasse_table(g, max_edges)
     if fmt == "dot":
-        lines = _strata.hasse_dot_lines(poset)
-        while chunk := "".join(islice(lines, DOT_CHUNK_LINES)):
-            click.echo(chunk, nl=False)
+        _echo_stream(_strata.hasse_dot_lines(elements, covers))
         return
-    click.echo(
-        _dumps(
-            {
-                "elements": [_stratum_obj(s) for s in poset.elements],
-                "covers": [list(c) for c in poset.cover_relations],
-            }
+    _echo_stream(
+        chain(
+            ['{"elements": '],
+            _json_array(text + "}" for text in _label_texts(g, elements)),
+            [', "covers": '],
+            _json_array(f"[{a}, {b}]" for a, b in covers),
+            ["}\n"],
         )
     )
 

@@ -546,6 +546,10 @@ def cofactor_expansion(matrix: Sequence[Sequence], row: int, zero, one, mul, add
         cofactors.append(cof)
         if matrix[row][col]:
             total = add(total, mul(matrix[row][col], cof))
+    # minor refers to itself through its closure; breaking that cycle
+    # frees the memo now rather than at the next cyclic collection
+    cache.clear()
+    del minor
     return total, cofactors
 
 

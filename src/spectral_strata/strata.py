@@ -12,23 +12,26 @@ counts the local branches.  Around a stratum of codimension p the variety
 is a product of p nodes and a disk, so its neighbourhood carries exactly
 3^p local strata.
 
-One walk over an edge-subset lattice (_walk) serves five readers.  In
+One walk over an edge-subset lattice (_walk) serves four builders.  In
 bitmask order it builds the term map of x^D times the product of
 (x_u + x_v) over a subset from the map of the subset without its lowest
 edge, by the step b_polynomial also folds; every term carries its
 coefficient and a witness orientation whose indegree is checked.
-enumerate_strata, stratum_rows, cr_strata and hasse_diagram walk all
-edges from D = 0.  hasse_diagram keys each (bitmask, divisor) pair by one
-integer, the digits of the bitmask and the divisor in radix e+1, so a
-cover is the lower key plus a fixed offset per (edge, head) and costs one
-lookup; hasse_dot_lines renders the poset line by line, which lets the
-CLI stream it.  local_model walks the edges outside a stratum from its
-divisor, so its coefficients are relative multiplicities.  stratum_rows
-and cr_strata read _strata_table, which does each subgraph's work once:
-the dimension check, the edge pairs, the component tables and the
-interior flags (strict subset inequalities) of all its divisors in one
-bit-parallel pass; each witness is checked to be totally cyclic on
-vertex bitmasks from its flips, with no Orientation built per stratum.
+enumerate_strata, _strata_table and _hasse_table walk all edges from
+D = 0.  _hasse_table keys each (bitmask, divisor) pair by one integer,
+the digits of the bitmask and the divisor in radix e+1, so a cover is the
+lower key plus a fixed offset per (edge, head) and costs one lookup.
+_local_rows walks the edges outside a stratum from its divisor, so its
+coefficients are relative multiplicities.  Both return integer rows,
+(bitmask, divisor values[, multiplicity]): hasse_diagram and local_model
+build their labels from them, and the CLI renders its Hasse exports
+(hasse_dot_lines for DOT) and local censuses straight from the rows, as
+streams, with no label per element.  stratum_rows and cr_strata read
+_strata_table, which does each subgraph's work once: the dimension
+check, the edge pairs, the component tables and the interior flags
+(strict subset inequalities) of all its divisors in one bit-parallel
+pass; each witness is checked to be totally cyclic on vertex bitmasks
+from its flips, with no Orientation built per stratum.
 irreducible_components reads b_polynomial, as its top row is one chain of
 e steps.  No flow search runs on these labels; labels from a caller are
 checked by max flow (_validate_stratum).
@@ -40,8 +43,10 @@ import io
 import csv as _csv
 import json
 from dataclasses import dataclass
+from itertools import groupby
 from math import factorial
-from typing import Iterator, Mapping, Sequence
+from operator import itemgetter, mul
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import StrataError
 from .graphs import (
@@ -227,28 +232,47 @@ def adjacency_multiplicity(c: CurveShape, s1: StratumLabel, s2: StratumLabel) ->
     return relative_multiplicity(s1.subgraph, s1.divisor, s2.subgraph, s2.divisor)
 
 
-def local_model(c: CurveShape, s2: StratumLabel, max_edges: int = DEFAULT_MAX_EDGES) -> LocalModel:
-    """Census of the 3^p local strata in a neighbourhood of s2, keyed by the
-    global strata they belong to and ordered by (subgraph bitmask, divisor).
-    It is the walk over the p edges outside s2 from the divisor of s2: each
+def _local_rows(
+    c: CurveShape, s2: StratumLabel, max_edges: int
+) -> tuple[int, int, list[tuple[int, tuple[int, ...], int]]]:
+    """p, q and the local census around s2 as rows (edge bitmask, divisor
+    values, multiplicity), ordered by (bitmask, divisor).  The rows are the
+    walk over the p edges outside s2 from the divisor of s2: each
     coefficient is a relative multiplicity along s2."""
     _validate_stratum(c, s2)
     g = c.dual_graph
     p = g.n_edges - s2.subgraph.n_edges
     q = _dimension(c, s2.subgraph.n_edges)
-    base = s2.subgraph.edge_set
-    rest = sorted(set(range(g.n_edges)) - base)
+    base = s2.subgraph.bitmask
+    rest = [i for i in range(g.n_edges) if not base >> i & 1]
     ensure_cap(len(rest), max_edges, "local_model")
-    census: dict[StratumLabel, int] = {}
+    rows: list[tuple[int, tuple[int, ...], int]] = []
     # ascending masks over the rest bits give ascending full bitmasks, so
-    # the census comes out in canonical order without re-sorting
+    # the rows come out in canonical order without re-sorting
     for mask, terms in enumerate(_walk(g, rest, s2.divisor.values)):
-        sub1 = Subgraph(g, base.union(e for i, e in enumerate(rest) if mask >> i & 1))
-        for expo in sorted(terms):
-            census[StratumLabel(sub1, Divisor(g.vertices, expo))] = terms[expo][0]
-    total = sum(census.values())
+        full = base | sum(1 << e for i, e in enumerate(rest) if mask >> i & 1)
+        rows += [(full, expo, terms[expo][0]) for expo in sorted(terms)]
+    total = sum(row[2] for row in rows)
     if total != 3 ** p:
         raise AssertionError(f"local census sums to {total}, expected 3^{p}")
+    return p, q, rows
+
+
+def _labelled(g: Multigraph, rows: Iterable[tuple]) -> Iterator[tuple[StratumLabel, tuple]]:
+    """(label, row) for rows (edge bitmask, divisor values, ...) in
+    bitmask order, with one Subgraph per bitmask."""
+    for mask, group in groupby(rows, itemgetter(0)):
+        sub = Subgraph(g, frozenset(i for i in range(g.n_edges) if mask >> i & 1))
+        for row in group:
+            yield StratumLabel(sub, Divisor(g.vertices, row[1])), row
+
+
+def local_model(c: CurveShape, s2: StratumLabel, max_edges: int = DEFAULT_MAX_EDGES) -> LocalModel:
+    """Census of the 3^p local strata in a neighbourhood of s2, keyed by the
+    global strata they belong to and ordered by (subgraph bitmask, divisor);
+    each multiplicity is relative along s2 (see _local_rows)."""
+    p, q, rows = _local_rows(c, s2, max_edges)
+    census = {label: row[2] for label, row in _labelled(c.dual_graph, rows)}
     return LocalModel(p, q, census)
 
 
@@ -260,10 +284,12 @@ def irreducible_components(c: CurveShape, max_edges: int = DEFAULT_MAX_EDGES) ->
     return [StratumLabel(full, d) for d in enumerate_indegree(g, max_edges)]
 
 
-def hasse_diagram(g: Multigraph, max_edges: int = DEFAULT_MAX_EDGES) -> StrataPoset:
-    """Poset of pairs (generating subgraph, indegree divisor) on a loopless
-    graph, with covers adding one oriented edge; both are read off the
-    walk over all edges.
+def _hasse_table(
+    g: Multigraph, max_edges: int
+) -> tuple[list[tuple[int, tuple[int, ...]]], Iterator[tuple[int, int]]]:
+    """The Hasse diagram of a loopless graph as integer rows: its elements
+    as (edge bitmask, divisor values) in (bitmask, divisor) order, and an
+    iterator over its covers as index pairs (lower, upper) in index order.
 
     A pair (mask, exponent) is keyed by the integer whose digits in radix
     e+1 are mask, then exponent[0], ..., exponent[n-1] (no exponent
@@ -276,12 +302,12 @@ def hasse_diagram(g: Multigraph, max_edges: int = DEFAULT_MAX_EDGES) -> StrataPo
     e, n = g.n_edges, g.n_vertices
     place = [(e + 1) ** (n - 1 - v) for v in range(n)]
     high = (e + 1) ** n
-    elements: list[StratumLabel] = []
+    elements: list[tuple[int, tuple[int, ...]]] = []
     index: dict[int, int] = {}
     # per element: its key and its subgraph's sorted offsets (one list
     # shared by the subgraph's elements)
     keyed: list[tuple[int, list[int]]] = []
-    for mask, (sub, terms) in enumerate(_full_walk(g, max_edges)):
+    for mask, (_, terms) in enumerate(_full_walk(g, max_edges)):
         offsets = sorted(
             (high << i) + place[head]
             for i, (u, v) in enumerate(g.edges)
@@ -289,14 +315,21 @@ def hasse_diagram(g: Multigraph, max_edges: int = DEFAULT_MAX_EDGES) -> StrataPo
             for head in (u, v)
         )
         for expo in sorted(terms):
-            key = mask * high + sum(x * w for x, w in zip(expo, place))
+            key = mask * high + sum(map(mul, expo, place))
             index[key] = len(elements)
             keyed.append((key, offsets))
-            elements.append(StratumLabel(sub, Divisor(g.vertices, expo)))
-    covers = tuple(
-        (i, index[key + d]) for i, (key, offsets) in enumerate(keyed) for d in offsets
-    )
-    return StrataPoset(tuple(elements), covers)
+            elements.append((mask, expo))
+    covers = ((i, index[key + d]) for i, (key, offsets) in enumerate(keyed) for d in offsets)
+    return elements, covers
+
+
+def hasse_diagram(g: Multigraph, max_edges: int = DEFAULT_MAX_EDGES) -> StrataPoset:
+    """Poset of pairs (generating subgraph, indegree divisor) on a loopless
+    graph, with covers adding one oriented edge; both are read off the
+    walk over all edges (see _hasse_table)."""
+    elements, covers = _hasse_table(g, max_edges)
+    labels = tuple(label for label, _ in _labelled(g, elements))
+    return StrataPoset(labels, tuple(covers))
 
 
 def path_count_multiplicity(p: StrataPoset, s1: StratumLabel, s2: StratumLabel) -> int:
@@ -424,18 +457,25 @@ def stratum_report_json_obj(c: CurveShape, s: StratumLabel, max_edges: int = DEF
     }
 
 
-def hasse_dot_lines(p: StrataPoset, name: str = "hasse") -> Iterator[str]:
-    """The lines of hasse_to_dot, each ending in a newline."""
+def hasse_dot_lines(
+    elements: Iterable[tuple[int, Sequence[int]]],
+    covers: Iterable[tuple[int, int]],
+    name: str = "hasse",
+) -> Iterator[str]:
+    """The lines of the DOT text of a Hasse diagram given as its elements
+    (edge bitmask, divisor values) and its covers (lower, upper), each line
+    ending in a newline."""
     yield f"digraph {name} {{\n"
     yield "  rankdir=BT;\n"
-    for i, s in enumerate(p.elements):
-        label = f"{s.subgraph.bitmask}|{','.join(map(str, s.divisor.values))}"
+    for i, (mask, values) in enumerate(elements):
+        label = f"{mask}|{','.join(map(str, values))}"
         yield f'  n{i} [label="{label}"];\n'
-    for a, b in p.cover_relations:
+    for a, b in covers:
         yield f"  n{a} -> n{b};\n"
     yield "}\n"
 
 
 def hasse_to_dot(p: StrataPoset, name: str = "hasse") -> str:
     """DOT text of the Hasse diagram; nodes are labelled 'bitmask|divisor'."""
-    return "".join(hasse_dot_lines(p, name))
+    elements = ((s.subgraph.bitmask, s.divisor.values) for s in p.elements)
+    return "".join(hasse_dot_lines(elements, p.cover_relations, name))

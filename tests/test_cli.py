@@ -1,4 +1,5 @@
 import json
+import random
 
 import pytest
 from click.testing import CliRunner
@@ -246,6 +247,163 @@ class TestHasseCommands:
         result = run("hasse", "export", json.dumps(graph_to_json_obj(g)))
         assert result.exit_code == 0
         assert result.stdout_bytes == hasse_to_dot(hasse_diagram(g)).encode()
+
+
+# vertex names that JSON must escape, or that a %-template must not read
+ODD_NAMES = ('q"uote', "back\\slash", "café", "雪", "%d%s%%", "tab\tline ")
+
+
+def seeded_cli_graphs(count, loops):
+    """Seeded multigraphs with up to 5 vertices and 6 edges, drawn with
+    replacement from the vertex pairs (loops too when asked), so parallel
+    edges and isolated vertices occur; every third one has odd names."""
+    from spectral_strata import Multigraph
+
+    rng = random.Random(20261019 + loops)
+    for i in range(count):
+        k = rng.randint(1 if loops else 2, 5)
+        pairs = [(a, b) for a in range(k) for b in range(a if loops else a + 1, k)]
+        edges = tuple(sorted(rng.choice(pairs) for _ in range(rng.randint(0, 6))))
+        names = ODD_NAMES[:k] if i % 3 == 0 else tuple(f"v{j + 1}" for j in range(k))
+        yield Multigraph(names, edges)
+
+
+def library_local_text(shape, s):
+    """strata local's stdout as json.dumps of local_model's census."""
+    from spectral_strata import classification_to_json_obj, local_model
+
+    model = local_model(shape, s)
+    census = [
+        {**classification_to_json_obj(label), "multiplicity": m}
+        for label, m in model.census.items()
+    ]
+    return (json.dumps({"p": model.p, "q": model.q, "census": census}) + "\n").encode()
+
+
+def library_hasse_json(g):
+    """hasse export --format json's stdout as json.dumps of hasse_diagram."""
+    from spectral_strata import classification_to_json_obj, hasse_diagram
+
+    poset = hasse_diagram(g)
+    obj = {
+        "elements": [classification_to_json_obj(s) for s in poset.elements],
+        "covers": [list(c) for c in poset.cover_relations],
+    }
+    return (json.dumps(obj) + "\n").encode()
+
+
+def stratum_payload(shape_obj, s):
+    stratum = {"subgraph": list(s.subgraph.edge_list()), "divisor": s.divisor.to_mapping()}
+    return json.dumps({**shape_obj, "stratum": stratum})
+
+
+class TestStreamedOutputIsTheLibraryText:
+    """strata local and hasse export render from integer rows; their
+    stdout must be byte for byte the JSON or DOT of the library objects."""
+
+    def assert_local(self, shape, shape_obj, s):
+        result = run("strata", "local", stratum_payload(shape_obj, s))
+        assert result.exit_code == 0, result.output
+        assert result.stdout_bytes == library_local_text(shape, s)
+
+    def assert_hasse(self, g):
+        from spectral_strata import graph_to_json_obj, hasse_diagram, hasse_to_dot
+
+        graph = json.dumps(graph_to_json_obj(g))
+        dot = run("hasse", "export", graph)
+        assert dot.exit_code == 0, dot.output
+        assert dot.stdout_bytes == hasse_to_dot(hasse_diagram(g)).encode()
+        as_json = run("hasse", "export", graph, "--format", "json")
+        assert as_json.exit_code == 0, as_json.output
+        assert as_json.stdout_bytes == library_hasse_json(g)
+
+    @pytest.mark.parametrize("lines", [1, 2, 3])
+    def test_local_every_stratum(self, lines):
+        from spectral_strata import enumerate_strata
+        from spectral_strata.cli import _lines_shape
+
+        shape = _lines_shape(lines)
+        for s in enumerate_strata(shape):
+            self.assert_local(shape, {"lines": lines}, s)
+
+    def test_local_seeded_four_lines(self):
+        from spectral_strata import enumerate_strata
+        from spectral_strata.cli import _lines_shape
+
+        shape = _lines_shape(4)
+        strata = enumerate_strata(shape)
+        for s in [strata[0]] + random.Random(4).sample(strata, 12):
+            self.assert_local(shape, {"lines": 4}, s)
+
+    @pytest.mark.parametrize("chunk", [1, 7, None])
+    def test_local_seeded_multigraphs(self, monkeypatch, chunk):
+        from spectral_strata import CurveShape, enumerate_strata, graph_to_json_obj
+        from spectral_strata import cli
+
+        if chunk is not None:
+            monkeypatch.setattr(cli, "DOT_CHUNK_LINES", chunk)
+        family = list(seeded_cli_graphs(24, loops=True))
+        assert any(u == v for g in family for u, v in g.edges)
+        assert any(len(set(g.edges)) < g.n_edges for g in family)
+        assert any(len({x for e in g.edges for x in e}) < g.n_vertices for g in family)
+        for g in family:
+            m = max(g.n_edges, 1)
+            shape = CurveShape(g, m, 2)
+            shape_obj = {"shape": {"graph": graph_to_json_obj(g), "m": m, "n": 2}}
+            for s in enumerate_strata(shape):
+                self.assert_local(shape, shape_obj, s)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_hasse_complete_graphs(self, n):
+        from spectral_strata.graphs import complete_graph
+
+        self.assert_hasse(complete_graph(n))
+
+    def test_hasse_odd_names_on_k5(self):
+        from spectral_strata import Multigraph
+        from spectral_strata.graphs import complete_graph
+
+        self.assert_hasse(Multigraph(ODD_NAMES[:5], complete_graph(5).edges))
+
+    @pytest.mark.parametrize("chunk", [1, 7, None])
+    def test_hasse_seeded_multigraphs(self, monkeypatch, chunk):
+        from spectral_strata import cli
+
+        if chunk is not None:
+            monkeypatch.setattr(cli, "DOT_CHUNK_LINES", chunk)
+        family = list(seeded_cli_graphs(24, loops=False))
+        assert any(len(set(g.edges)) < g.n_edges for g in family)
+        assert any(len({x for e in g.edges for x in e}) < g.n_vertices for g in family)
+        for g in family:
+            self.assert_hasse(g)
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            (
+                "strata",
+                "local",
+                {"lines": 3, "stratum": {"subgraph": [0], "divisor": {"v1": 0, "v2": 0, "v3": 1}}},
+            ),
+            (
+                "--max-edges",
+                "2",
+                "strata",
+                "local",
+                {"lines": 3, "stratum": {"subgraph": [], "divisor": {"v1": 0, "v2": 0, "v3": 0}}},
+            ),
+            ("hasse", "export", {"vertices": ["a", "b"], "edges": [["a", "b"], ["b", "b"]]}),
+            ("hasse", "export", "--format", "json", {"vertices": ["a"], "edges": [["a", "a"]]}),
+            ("--max-edges", "2", "hasse", "export", K3_GRAPH),
+            ("--max-edges", "2", "hasse", "export", "--format", "json", K3_GRAPH),
+        ],
+    )
+    def test_rejected_input_prints_nothing(self, args):
+        *command, payload = args
+        result = run(*command, json.dumps(payload))
+        assert result.exit_code == 2
+        assert result.stdout_bytes == b""
+        assert "error" in json.loads(result.stderr)
 
 
 class TestMatpolyCommands:

@@ -1,3 +1,4 @@
+import gc
 import random
 from fractions import Fraction as F
 from itertools import permutations
@@ -285,6 +286,16 @@ class TestPolyMatrices:
             )
             assert total == leibniz_det(mat)
             assert column == leibniz_adjugate_column(mat, row)
+
+    def test_expansion_leaves_no_reference_cycle(self):
+        mat = random_rows(random.Random(3), 3, 3)
+        gc.disable()
+        try:
+            gc.collect()
+            exact.cofactor_expansion(mat, 0, (), poly([1]), poly_mul, poly_add, exact.poly_neg)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     @pytest.mark.parametrize("seed", range(4))
