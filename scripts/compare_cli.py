@@ -31,7 +31,11 @@ The commands:
   * sample at every 2- and 3-line stratum of several arrangements, with
     a few parameter sets and some rejected inputs; then matpoly
     charpoly|classify|reducibility on each sample OLD_SRC printed and on
-    its transpose.
+    its transpose;
+  * matpoly charpoly, matpoly classify and sample on rationals outside
+    the grammar -?[0-9]+(/[0-9]+)? (underscores, spaces, exponents,
+    decimals);
+  * --help of the root command, of every group and of every subcommand.
 
 --quick drops the K5 Hasse exports and keeps the first two benchmark
 seeds.  Exit status: 0 when every command agrees, 1 otherwise.  Uses the
@@ -66,6 +70,17 @@ PARAM_SETS = ("7", "2", "-3/4", "1234567891/3")
 #: Vertex names that JSON must escape, or that a %-template must not read.
 ODD_NAMES = ['q"uote', "back\\slash", "café", "雪", "%d%s%%"]
 EXCERPT = 300
+#: Every group of the CLI with its subcommands; sample is a command of
+#: the root.
+COMMANDS = {
+    "graph": ("indeg", "bpoly", "classify", "dot"),
+    "zonotope": ("points", "vertices"),
+    "strata": ("enumerate", "adjacency", "local", "components", "cr"),
+    "hasse": ("export",),
+    "matpoly": ("charpoly", "classify", "reducibility"),
+}
+#: Strings that parse_rational rejects, and that Fraction accepts.
+NOT_RATIONAL = ("1_0", " 2 ", "1e4300", "0.5", "+3", "1/-2")
 
 
 def _vertices(n: int) -> list[str]:
@@ -249,6 +264,19 @@ def first_commands(quick: bool) -> list[list[str]]:
                 param_sets.append(["0"] * len(subgraph) + ["1"])
             for params in param_sets:
                 cmds.append(["sample", json.dumps({**stratum, "params": params})])
+
+    for text in NOT_RATIONAL:
+        cmds.append(["matpoly", "charpoly", json.dumps({"coeffs": [[[text]]]})])
+        lines = json.dumps({"lines": [[text, "1"], ["0", "2"]]})
+        cmds.append(["matpoly", "classify", json.dumps({"coeffs": [[["1"]]]}), "--arrangement", lines])
+        stratum = {"lines": ARRANGEMENTS[0], "subgraph": [0], "divisor": {"v1": 0, "v2": 1}}
+        cmds.append(["sample", json.dumps({**stratum, "params": [text]})])
+    cmds.append(["matpoly", "charpoly", json.dumps({"coeffs": [[["1_0"]], [[" 2 "]]]})])
+    cmds.append(["--help"])
+    for group, subcommands in COMMANDS.items():
+        cmds.append([group, "--help"])
+        cmds += [[group, name, "--help"] for name in subcommands]
+    cmds.append(["sample", "--help"])
     return cmds
 
 
@@ -256,7 +284,7 @@ def second_commands(first: list[list[str]], results: list[dict]) -> list[list[st
     """matpoly commands on every sample the first tree printed."""
     cmds = []
     for argv, result in zip(first, results):
-        if argv[0] != "sample" or result["code"] != 0:
+        if argv[0] != "sample" or argv[1] == "--help" or result["code"] != 0:
             continue
         poly = json.loads(result["stdout"])
         transposed = {**poly, "coeffs": [[list(col) for col in zip(*mat)] for mat in poly["coeffs"]]}

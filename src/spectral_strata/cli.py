@@ -30,7 +30,6 @@ from .graphs import (
     to_dot,
 )
 from . import indegree as _indegree
-from . import matpoly as _matpoly
 from . import strata as _strata
 from . import zonotope as _zonotope
 
@@ -65,14 +64,30 @@ def _label_texts(g: Multigraph, rows: Iterable[tuple]) -> Iterator[str]:
     _dumps text of each {"subgraph": [...], "divisor": {...}} object
     without its closing brace.  Vertex names are encoded once, into a
     %-template of the divisor, and each subgraph's prefix once."""
-    divisor = ", ".join(json.dumps(v).replace("%", "%%") + ": %d" for v in g.vertices)
+    divisor = _strata._divisor_template(g.vertices)
     mask = template = None
     for row in rows:
         if row[0] != mask:
             mask = row[0]
             edges = [i for i in range(g.n_edges) if mask >> i & 1]
-            template = '{"subgraph": ' + _dumps(edges) + ', "divisor": {' + divisor + "}"
+            template = '{"subgraph": ' + _dumps(edges) + ', "divisor": ' + divisor
         yield template % row[1]
+
+
+def _stratum_texts(vertices, table: Iterable[tuple]) -> Iterator[str]:
+    """The _dumps text of each stratum_rows row, from the _table_rows
+    table, with one %-template per subgraph (as in _label_texts)."""
+    divisor = _strata._divisor_template(vertices)
+
+    def template(sub: Subgraph, dim: int) -> str:
+        edges = _dumps(list(sub.edge_list()))
+        return (
+            f'{{"id": %d, "edge_bitmask": {sub.bitmask}, "subgraph_edges": {edges}, "divisor": '
+            + divisor
+            + f', "dimension": {dim}, "class": "%s", "multiplicity": %d}}'
+        )
+
+    return _strata._stratum_lines(table, template)
 
 
 def read_json_input(source: str) -> dict:
@@ -179,10 +194,6 @@ def _stratum_from_obj(g: Multigraph, obj) -> _strata.StratumLabel:
         raise StrataError("stratum 'subgraph' must be a list of integer edge indices")
     sub = Subgraph(g, frozenset(edges))
     return _strata.StratumLabel(sub, divisor_from_json_obj(g, obj["divisor"]))
-
-
-def _stratum_obj(label: _strata.StratumLabel) -> dict:
-    return _matpoly.classification_to_json_obj(label)
 
 
 @click.group()
@@ -332,32 +343,25 @@ def strata_enumerate(max_edges: int, input_arg, lines, fmt, as_table) -> None:
     shape = _shape_from_options(lines, input_arg)
     if as_table:
         fmt = "table"
+    vertices = shape.dual_graph.vertices
+    table = _strata._table_rows(shape, max_edges)
+    # the first subgraph raises the cap and dimension errors, so they come
+    # before any output
+    table = chain([next(table)], table)
     if fmt == "csv":
-        click.echo(_strata.strata_csv(shape, max_edges), nl=False)
+        _echo_stream(_strata._csv_lines(vertices, table))
         return
-    rows = _strata.stratum_rows(shape, max_edges)
-    if fmt == "table":
-        header = ["id", "edge_bitmask", "divisor", "dimension", "class", "multiplicity"]
-        body = [
-            [
-                str(r["id"]),
-                str(r["edge_bitmask"]),
-                json.dumps(r["divisor"], separators=(",", ":")),
-                str(r["dimension"]),
-                r["class"],
-                str(r["multiplicity"]),
-            ]
-            for r in rows
-        ]
-        widths = [
-            max(len(header[c]), *(len(b[c]) for b in body)) if body else len(header[c])
-            for c in range(len(header))
-        ]
-        click.echo("  ".join(h.ljust(w) for h, w in zip(header, widths)).rstrip())
-        for b in body:
-            click.echo("  ".join(x.ljust(w) for x, w in zip(b, widths)).rstrip())
+    if fmt == "json":
+        _echo_stream(chain(_json_array(_stratum_texts(vertices, table)), ["\n"]))
         return
-    click.echo(_dumps(rows))
+    divisor = _strata._divisor_template(vertices, ",", ":")
+    rows = [["id", "edge_bitmask", "divisor", "dimension", "class", "multiplicity"]]
+    for sub, dim, entries in table:
+        for values, cls, mult in entries:
+            row_id = str(len(rows) - 1)
+            rows.append([row_id, str(sub.bitmask), divisor % values, str(dim), cls, str(mult)])
+    widths = [max(map(len, column)) for column in zip(*rows)]
+    _echo_stream("  ".join(x.ljust(w) for x, w in zip(row, widths)).rstrip() + "\n" for row in rows)
 
 
 @strata.command("adjacency")
@@ -410,7 +414,7 @@ def strata_components(max_edges: int, input_arg, lines, count) -> None:
     if count:
         click.echo(str(len(comps)))
         return
-    click.echo(_dumps([_stratum_obj(s) for s in comps]))
+    click.echo(_dumps([_strata.classification_to_json_obj(s) for s in comps]))
 
 
 @strata.command("cr")
@@ -421,7 +425,8 @@ def strata_components(max_edges: int, input_arg, lines, count) -> None:
 def strata_cr(max_edges: int, input_arg, lines) -> None:
     """Completely reducible strata (the compactified-Jacobian index set)."""
     shape = _shape_from_options(lines, input_arg)
-    click.echo(_dumps([_stratum_obj(s) for s in _strata.cr_strata(shape, max_edges)]))
+    labels = _strata.cr_strata(shape, max_edges)
+    click.echo(_dumps([_strata.classification_to_json_obj(s) for s in labels]))
 
 
 # ---------------------------------------------------------------------------
@@ -468,6 +473,8 @@ def matpoly() -> None:
 @handle_errors
 def matpoly_charpoly(input_arg: str) -> None:
     """Characteristic bivariate polynomial of a matrix polynomial JSON."""
+    from . import matpoly as _matpoly
+
     p = _matpoly.matpoly_from_json_obj(read_json_input(input_arg))
     click.echo(_dumps(_matpoly.char_poly(p).to_json_obj()))
 
@@ -478,10 +485,12 @@ def matpoly_charpoly(input_arg: str) -> None:
 @handle_errors
 def matpoly_classify(input_arg: str, arrangement_arg: str) -> None:
     """Stratum label of a matrix polynomial over a line arrangement."""
+    from . import matpoly as _matpoly
+
     p = _matpoly.matpoly_from_json_obj(read_json_input(input_arg))
     c = _matpoly.arrangement_from_json_obj(read_json_input(arrangement_arg))
     label = _matpoly.classify_polynomial(p, c)
-    click.echo(_dumps(_matpoly.classification_to_json_obj(label)))
+    click.echo(_dumps(_strata.classification_to_json_obj(label)))
 
 
 @matpoly.command("reducibility")
@@ -489,6 +498,8 @@ def matpoly_classify(input_arg: str, arrangement_arg: str) -> None:
 @handle_errors
 def matpoly_reducibility(input_arg: str) -> None:
     """Invariant-subspace classification (n <= 6)."""
+    from . import matpoly as _matpoly
+
     p = _matpoly.matpoly_from_json_obj(read_json_input(input_arg))
     click.echo(_dumps({"reducibility": _matpoly.reducibility(p).value}))
 
@@ -505,6 +516,8 @@ def sample(input_arg: str) -> None:
     INPUT: {"lines": [[a, b], ...], "subgraph": [edge indices],
     "divisor": {...}, "params": [nonzero rationals]}.
     """
+    from . import matpoly as _matpoly
+
     obj = read_json_input(input_arg)
     if "lines" not in obj:
         raise StrataError("sample input needs 'lines'")

@@ -41,6 +41,7 @@ nonzero coefficients, Fractions or ints; their operations serve both.
 from __future__ import annotations
 
 import math
+import re
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
@@ -52,15 +53,19 @@ BivarTerms = dict[tuple[int, int], Fraction]
 
 
 def parse_rational(text) -> Fraction:
-    """Parse 'p/q' or integer-like input into a Fraction."""
+    """Parse an integer, or a string of the grammar -?[0-9]+(/[0-9]+)?,
+    into a Fraction.  Decimals, exponents, underscores, signs other than
+    a leading "-" and whitespace are rejected."""
     if isinstance(text, Fraction):
         return text
     if isinstance(text, bool):
         raise StrataError(f"cannot parse rational {text!r}: a boolean is not a number")
     if isinstance(text, int):
         return Fraction(text)
+    if not (isinstance(text, str) and re.fullmatch(r"-?[0-9]+(/[0-9]+)?", text)):
+        raise StrataError(f"cannot parse rational {text!r}: not an integer or a 'p/q' string")
     try:
-        return Fraction(str(text))
+        return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise StrataError(f"cannot parse rational {text!r}: {exc}") from None
 

@@ -44,7 +44,8 @@ from .exact import (
 )
 from .graphs import Divisor, Multigraph, Subgraph, complete_graph
 from .indegree import is_indegree, multiplicity
-from .strata import StratumLabel
+# classification_to_json_obj is strata's, re-exported for matpoly's callers
+from .strata import StratumLabel, classification_to_json_obj
 
 MAX_MATRIX_SIZE = 6
 
@@ -687,10 +688,3 @@ def arrangement_from_json_obj(obj: Mapping) -> SpectralLineArrangement:
     if not (isinstance(lines, list) and all(isinstance(x, list) and len(x) == 2 for x in lines)):
         raise StrataError("'lines' must be a list of [intercept, slope] pairs")
     return line_arrangement(lines)
-
-
-def classification_to_json_obj(label: StratumLabel) -> dict:
-    return {
-        "subgraph": list(label.subgraph.edge_list()),
-        "divisor": label.divisor.to_mapping(),
-    }

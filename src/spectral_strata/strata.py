@@ -26,12 +26,15 @@ coefficients are relative multiplicities.  Both return integer rows,
 (bitmask, divisor values[, multiplicity]): hasse_diagram and local_model
 build their labels from them, and the CLI renders its Hasse exports
 (hasse_dot_lines for DOT) and local censuses straight from the rows, as
-streams, with no label per element.  stratum_rows and cr_strata read
-_strata_table, which does each subgraph's work once: the dimension
-check, the edge pairs, the component tables and the interior flags
-(strict subset inequalities) of all its divisors in one bit-parallel
-pass; each witness is checked to be totally cyclic on vertex bitmasks
-from its flips, with no Orientation built per stratum.
+streams, with no label per element.  cr_strata reads _strata_table,
+which does each subgraph's work once: the dimension check, the edge
+pairs, the component tables and the interior flags (strict subset
+inequalities) of all its divisors in one bit-parallel pass; each witness
+is checked to be totally cyclic on vertex bitmasks from its flips, with
+no Orientation built per stratum.  _table_rows reduces it to each
+subgraph's (divisor values, class, multiplicity) rows; stratum_rows
+builds its dicts from them, and strata_csv and the CLI's strata
+enumerate render them as text streams, one %-template per subgraph.
 irreducible_components reads b_polynomial, as its top row is one chain of
 e steps.  No flow search runs on these labels; labels from a caller are
 checked by max flow (_validate_stratum).
@@ -388,17 +391,53 @@ def stratum_class(c: CurveShape, s: StratumLabel) -> DivisorClass:
 # ---------------------------------------------------------------------------
 # reports
 
+def _table_rows(
+    c: CurveShape, max_edges: int
+) -> Iterator[tuple[Subgraph, int, list[tuple[tuple[int, ...], str, int]]]]:
+    """Per generating subgraph, by bitmask: the subgraph, its stratum
+    dimension (checked) and its strata as (divisor values, class,
+    multiplicity of the divisor on the subgraph) in divisor order.  The
+    first subgraph is the empty one, of the lowest dimension, so taking
+    it raises the cap and dimension errors."""
+    n = c.dual_graph.n_vertices
+    cr, not_cr = DivisorTag.COMPLETELY_REDUCIBLE.value, DivisorTag.REDUCIBLE_NOT_CR.value
+    for sub, dim, pairs, strata in _strata_table(c, max_edges):
+        rows = []
+        for values, mult, flips, interior in strata:
+            # any witness of an interior divisor is totally cyclic
+            if interior and not _totally_cyclic(n, pairs, flips):
+                raise AssertionError("interior divisor produced a non-cyclic witness")
+            rows.append((values, cr if interior else not_cr, mult))
+        yield sub, dim, rows
+
+
+def _divisor_template(vertices: Sequence[str], item_sep: str = ", ", key_sep: str = ": ") -> str:
+    """The json.dumps text, with these separators, of a divisor
+    {vertex: value} as a %-template of its values: each vertex name is
+    encoded once, and its "%" doubled."""
+    items = (json.dumps(v).replace("%", "%%") + key_sep + "%d" for v in vertices)
+    return "{" + item_sep.join(items) + "}"
+
+
+def _stratum_lines(table: Iterable[tuple], template_of) -> Iterator[str]:
+    """One text per stratum of the _table_rows table: template_of(sub,
+    dim) is a %-template per subgraph, filled with the stratum's (id,
+    divisor values..., class, multiplicity)."""
+    i = 0
+    for sub, dim, strata in table:
+        template = template_of(sub, dim)
+        for values, cls, mult in strata:
+            yield template % (i, *values, cls, mult)
+            i += 1
+
+
 def stratum_rows(c: CurveShape, max_edges: int = DEFAULT_MAX_EDGES) -> list[dict]:
     """Table rows for every stratum: id, edge bitmask, divisor, dimension,
     class, multiplicity (of the divisor on its subgraph)."""
     vertices = c.dual_graph.vertices
-    cr, not_cr = DivisorTag.COMPLETELY_REDUCIBLE.value, DivisorTag.REDUCIBLE_NOT_CR.value
     rows = []
-    for sub, dim, pairs, strata in _strata_table(c, max_edges):
-        for values, mult, flips, interior in strata:
-            # any witness of an interior divisor is totally cyclic
-            if interior and not _totally_cyclic(len(vertices), pairs, flips):
-                raise AssertionError("interior divisor produced a non-cyclic witness")
+    for sub, dim, strata in _table_rows(c, max_edges):
+        for values, cls, mult in strata:
             rows.append(
                 {
                     "id": len(rows),
@@ -406,29 +445,27 @@ def stratum_rows(c: CurveShape, max_edges: int = DEFAULT_MAX_EDGES) -> list[dict
                     "subgraph_edges": list(sub.edge_list()),
                     "divisor": dict(zip(vertices, values)),
                     "dimension": dim,
-                    "class": cr if interior else not_cr,
+                    "class": cls,
                     "multiplicity": mult,
                 }
             )
     return rows
 
 
-def strata_csv(c: CurveShape, max_edges: int = DEFAULT_MAX_EDGES) -> str:
+def _csv_lines(vertices: Sequence[str], table: Iterable[tuple]) -> Iterator[str]:
+    """The lines of strata_csv's text from the _table_rows table.  The
+    divisor cell is the json.dumps text of the divisor, quoted as the csv
+    module quotes it; filling in digits neither needs quoting nor changes
+    it, so the template is quoted once."""
     buf = io.StringIO()
-    writer = _csv.writer(buf, lineterminator="\n")
-    writer.writerow(["id", "edge_bitmask", "divisor", "dimension", "class", "multiplicity"])
-    for row in stratum_rows(c, max_edges):
-        writer.writerow(
-            [
-                row["id"],
-                row["edge_bitmask"],
-                json.dumps(row["divisor"]),
-                row["dimension"],
-                row["class"],
-                row["multiplicity"],
-            ]
-        )
-    return buf.getvalue()
+    _csv.writer(buf, lineterminator="\n").writerow([_divisor_template(vertices)])
+    divisor = buf.getvalue()[:-1]
+    yield "id,edge_bitmask,divisor,dimension,class,multiplicity\n"
+    yield from _stratum_lines(table, lambda sub, dim: f"%d,{sub.bitmask},{divisor},{dim},%s,%d\n")
+
+
+def strata_csv(c: CurveShape, max_edges: int = DEFAULT_MAX_EDGES) -> str:
+    return "".join(_csv_lines(c.dual_graph.vertices, _table_rows(c, max_edges)))
 
 
 def stratum_report_json_obj(c: CurveShape, s: StratumLabel, max_edges: int = DEFAULT_MAX_EDGES) -> dict:
@@ -454,6 +491,13 @@ def stratum_report_json_obj(c: CurveShape, s: StratumLabel, max_edges: int = DEF
         "dimension": stratum_dimension(c, s),
         "class": stratum_class(c, s).tag.value,
         "adjacency": adjacency,
+    }
+
+
+def classification_to_json_obj(label: StratumLabel) -> dict:
+    return {
+        "subgraph": list(label.subgraph.edge_list()),
+        "divisor": label.divisor.to_mapping(),
     }
 
 

@@ -1,5 +1,10 @@
+import csv
+import io
 import json
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -292,6 +297,43 @@ def library_hasse_json(g):
     return (json.dumps(obj) + "\n").encode()
 
 
+TABLE_HEADER = ["id", "edge_bitmask", "divisor", "dimension", "class", "multiplicity"]
+
+
+def library_table_text(rows):
+    """strata enumerate --table's stdout, rendered from stratum_rows as
+    the command rendered it before it streamed."""
+    body = [
+        [
+            str(r["id"]),
+            str(r["edge_bitmask"]),
+            json.dumps(r["divisor"], separators=(",", ":")),
+            str(r["dimension"]),
+            r["class"],
+            str(r["multiplicity"]),
+        ]
+        for r in rows
+    ]
+    widths = [
+        max(len(TABLE_HEADER[c]), *(len(b[c]) for b in body)) if body else len(TABLE_HEADER[c])
+        for c in range(len(TABLE_HEADER))
+    ]
+    lines = ["  ".join(x.ljust(w) for x, w in zip(b, widths)).rstrip() for b in [TABLE_HEADER, *body]]
+    return "".join(line + "\n" for line in lines).encode()
+
+
+def library_csv_text(rows):
+    """strata_csv's text, written by the csv module from stratum_rows."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(TABLE_HEADER)
+    for r in rows:
+        writer.writerow(
+            [r["id"], r["edge_bitmask"], json.dumps(r["divisor"]), r["dimension"], r["class"], r["multiplicity"]]
+        )
+    return buf.getvalue()
+
+
 def stratum_payload(shape_obj, s):
     stratum = {"subgraph": list(s.subgraph.edge_list()), "divisor": s.divisor.to_mapping()}
     return json.dumps({**shape_obj, "stratum": stratum})
@@ -316,6 +358,42 @@ class TestStreamedOutputIsTheLibraryText:
         as_json = run("hasse", "export", graph, "--format", "json")
         assert as_json.exit_code == 0, as_json.output
         assert as_json.stdout_bytes == library_hasse_json(g)
+
+    def assert_enumerate(self, shape, args):
+        from spectral_strata import strata_csv, stratum_rows
+
+        rows = stratum_rows(shape)
+        assert strata_csv(shape) == library_csv_text(rows)
+        expected = {
+            (): (json.dumps(rows, separators=(", ", ": ")) + "\n").encode(),
+            ("--format", "csv"): strata_csv(shape).encode(),
+            ("--table",): library_table_text(rows),
+        }
+        for fmt, text in expected.items():
+            result = run("strata", "enumerate", *args, *fmt)
+            assert result.exit_code == 0, result.output
+            assert result.stdout_bytes == text
+
+    @pytest.mark.parametrize("chunk", [1, 7, 4096])
+    def test_enumerate_lines(self, monkeypatch, chunk):
+        from spectral_strata import cli
+        from spectral_strata.cli import _lines_shape
+
+        monkeypatch.setattr(cli, "DOT_CHUNK_LINES", chunk)
+        for lines in (1, 2, 3, 4):
+            self.assert_enumerate(_lines_shape(lines), ["--lines", str(lines)])
+
+    @pytest.mark.parametrize("chunk", [1, 7, 4096])
+    def test_enumerate_seeded_multigraphs(self, monkeypatch, chunk):
+        from spectral_strata import CurveShape, cli, graph_to_json_obj
+
+        monkeypatch.setattr(cli, "DOT_CHUNK_LINES", chunk)
+        family = [*seeded_cli_graphs(24, loops=True), *seeded_cli_graphs(24, loops=False)]
+        assert {name for g in family for name in g.vertices} >= set(ODD_NAMES[:5])
+        for g in family:
+            m = max(g.n_edges, 1)
+            shape_obj = {"shape": {"graph": graph_to_json_obj(g), "m": m, "n": 2}}
+            self.assert_enumerate(CurveShape(g, m, 2), [json.dumps(shape_obj)])
 
     @pytest.mark.parametrize("lines", [1, 2, 3])
     def test_local_every_stratum(self, lines):
@@ -404,6 +482,105 @@ class TestStreamedOutputIsTheLibraryText:
         assert result.exit_code == 2
         assert result.stdout_bytes == b""
         assert "error" in json.loads(result.stderr)
+
+    @pytest.mark.parametrize("fmt", [(), ("--format", "csv"), ("--table",)])
+    @pytest.mark.parametrize(
+        "options,shape",
+        [
+            # the triangle's strata have negative dimension when m = 1, n = 2
+            ((), {"graph": K3_GRAPH, "m": 1, "n": 2}),
+            (("--max-edges", "2"), {"graph": K3_GRAPH, "m": 1, "n": 3}),
+        ],
+    )
+    def test_rejected_enumerate_prints_nothing(self, monkeypatch, fmt, options, shape):
+        from spectral_strata import cli
+
+        # one piece per chunk: the error must come before the first piece
+        monkeypatch.setattr(cli, "DOT_CHUNK_LINES", 1)
+        result = run(*options, "strata", "enumerate", *fmt, json.dumps({"shape": shape}))
+        assert result.exit_code == 2
+        assert result.stdout_bytes == b""
+        assert "error" in json.loads(result.stderr)
+
+
+IMPORT_PROBE = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+from spectral_strata.cli import main
+try:
+    main(args=json.loads(sys.argv[3]), prog_name="spectral-strata")
+    code = 0
+except SystemExit as exc:
+    code = exc.code
+loaded = [name for name in sys.modules if name.startswith("spectral_strata")]
+with open(sys.argv[2], "w") as f:
+    json.dump({"code": code, "loaded": loaded}, f)
+"""
+SAMPLE_TWO_LINES = {"lines": TWO_LINES, "subgraph": [0], "divisor": {"v1": 0, "v2": 1}, "params": ["5"]}
+MATRIX_MODULES = {"spectral_strata.matpoly", "spectral_strata.exact"}
+
+
+class TestImportBoundary:
+    """The matrix modules load only for the commands that use them."""
+
+    def probe(self, tmp_path, argv):
+        import spectral_strata
+
+        src = str(Path(spectral_strata.__file__).resolve().parent.parent)
+        out = tmp_path / "probe.json"
+        subprocess.run(
+            [sys.executable, "-c", IMPORT_PROBE, src, str(out), json.dumps(argv)],
+            stdout=subprocess.DEVNULL,
+            check=True,
+        )
+        result = json.loads(out.read_text())
+        assert result["code"] == 0, argv
+        return set(result["loaded"])
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["strata", "enumerate", "--lines", "3"],
+            ["strata", "cr", "--lines", "3"],
+            ["strata", "components", "--lines", "3"],
+            ["strata", "local", json.dumps({"lines": 2, "stratum": {"subgraph": [], "divisor": {}}})],
+            ["zonotope", "points", "--complete", "3"],
+            ["zonotope", "vertices", "--complete", "3"],
+            ["hasse", "export", json.dumps(K3_GRAPH)],
+            ["graph", "bpoly", json.dumps(K3_GRAPH)],
+            ["--help"],
+        ],
+    )
+    def test_graph_commands_leave_the_matrix_modules_out(self, tmp_path, argv):
+        loaded = self.probe(tmp_path, argv)
+        assert "spectral_strata.strata" in loaded
+        assert not loaded & MATRIX_MODULES
+
+    @pytest.mark.parametrize(
+        "argv", [["matpoly", "charpoly", json.dumps(ORB2)], ["sample", json.dumps(SAMPLE_TWO_LINES)]]
+    )
+    def test_matrix_commands_load_them(self, tmp_path, argv):
+        assert MATRIX_MODULES <= self.probe(tmp_path, argv)
+
+    def test_package_names_resolve_to_their_home_modules(self):
+        from importlib import import_module
+
+        import spectral_strata
+
+        assert len(spectral_strata.__all__) == len(set(spectral_strata.__all__)) == 86
+        listed = dir(spectral_strata)
+        for name in spectral_strata.__all__:
+            home = import_module(f"spectral_strata.{spectral_strata._HOMES[name]}")
+            value = getattr(spectral_strata, name)
+            assert value is getattr(home, name)
+            if callable(value):
+                assert value.__module__ == home.__name__, name
+            assert name in listed
+        with pytest.raises(AttributeError):
+            spectral_strata.no_such_name
+        from spectral_strata import matpoly
+
+        assert matpoly.classification_to_json_obj is spectral_strata.classification_to_json_obj
 
 
 class TestMatpolyCommands:
@@ -516,6 +693,11 @@ class TestCliContract:
             ("--max-edges", "-1", "graph", "bpoly", E2_GRAPH),
             ("matpoly", "reducibility", {"coeffs": [[]]}),
             ("matpoly", "charpoly", {"coeffs": [[]]}),
+            ("matpoly", "charpoly", {"coeffs": [[["1_0"]], [[" 2 "]]]}),
+            ("matpoly", "charpoly", {"coeffs": [[["1_0"]]]}),
+            ("matpoly", "charpoly", {"coeffs": [[[" 2 "]]]}),
+            ("matpoly", "charpoly", {"coeffs": [[["1e4300"]]]}),
+            ("matpoly", "charpoly", {"coeffs": [[["0.5"]]]}),
         ],
     )
     def test_malformed_input_exits_2(self, args):

@@ -50,6 +50,14 @@ class TestParseRational:
         with pytest.raises(StrataError):
             parse_rational("1/0")
 
+    @pytest.mark.parametrize(
+        "text", ["1_0", " 2 ", "1e4300", "0.5", "+1", "1/-2", "1 / 2", "", "\u0661", 0.5, None]
+    )
+    def test_outside_the_grammar(self, text):
+        # a JSON integer or a string -?[0-9]+(/[0-9]+)?, nothing else
+        with pytest.raises(StrataError, match="cannot parse rational"):
+            parse_rational(text)
+
 
 class TestPolyArithmetic:
     def test_trailing_zeros_trimmed(self):
