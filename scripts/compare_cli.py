@@ -26,6 +26,12 @@ The commands:
     n = 2, whose strata would have negative dimension;
   * strata adjacency at every ordered pair of 3-line strata, and on that
     triangle shape between its full and empty strata;
+  * graph classify on K1..K4 and on the seeded multigraphs, at every
+    divisor of the right degree and at a few that are not (a negative
+    entry, one unit too many); graph bpoly on the same graphs, and graph
+    indeg at seeded orientations of them;
+  * strata enumerate, cr and components at --lines 7 and 1500 (cap
+    errors; --lines 6 is left out, as its table runs for minutes);
   * matpoly reducibility at n = 4..7: diagonal, upper triangular, cyclic
     and conjugated leading-diagonal polynomials;
   * sample at every 2- and 3-line stratum of several arrangements, with
@@ -141,6 +147,39 @@ def _local_commands(shape: dict, n: int, edges, names=None, count=None) -> list[
     ]
 
 
+def _compositions(total: int, parts: int):
+    """Every tuple of parts nonnegative integers summing to total."""
+    if parts == 1:
+        yield (total,)
+        return
+    for first in range(total + 1):
+        for rest in _compositions(total - first, parts - 1):
+            yield (first, *rest)
+
+
+def _graph_commands() -> list[list[str]]:
+    """graph classify, bpoly and indeg on K1..K4 and the seeded
+    multigraphs."""
+    cmds = []
+    graphs = [(n, _complete_edges(n)) for n in range(1, 5)]
+    graphs += itertools.chain(_multigraphs(12, loops=False), _multigraphs(12, loops=True))
+    rng = random.Random(13)
+    for k, edges in graphs:
+        graph = json.loads(_graph(k, edges))
+        names, e = graph["vertices"], len(edges)
+        divisors = [*_compositions(e, k), (e + 1,) + (0,) * (k - 1)]
+        if k > 1:
+            divisors.append((-1, e + 1) + (0,) * (k - 2))
+        for values in divisors:
+            payload = {"graph": graph, "divisor": dict(zip(names, values))}
+            cmds.append(["graph", "classify", json.dumps(payload)])
+        cmds.append(["graph", "bpoly", json.dumps(graph)])
+        for _ in range(3):
+            arcs = [pair[::-1] if rng.random() < 0.5 else pair for pair in graph["edges"]]
+            cmds.append(["graph", "indeg", json.dumps({"graph": graph, "orientation": arcs})])
+    return cmds
+
+
 def _reducibility_inputs(n: int) -> list:
     """Degree-one n x n polynomials A_0 + lambda diag(1..n), as JSON
     coefficient lists: A_0 diagonal, upper triangular, a directed n-cycle,
@@ -207,6 +246,9 @@ def first_commands(quick: bool) -> list[list[str]]:
             base = ["zonotope", what, "--complete", str(n)]
             cmds += [base, base + ["--count"], base + ["--format", "csv"]]
 
+    cmds += _graph_commands()
+    for n in (7, 1500):
+        cmds += [["strata", what, "--lines", str(n)] for what in ("enumerate", "cr", "components")]
     shapes = [["--lines", str(n)] for n in range(1, 6)]
     for k, edges in itertools.chain(_multigraphs(12, loops=False), _multigraphs(12, loops=True)):
         shape = {"graph": json.loads(_graph(k, edges)), "m": max(len(edges), 1), "n": 2}

@@ -25,6 +25,7 @@ from .graphs import (
     Subgraph,
     complete_graph,
     divisor_from_json_obj,
+    ensure_cap,
     graph_from_json_obj,
     indeg,
     to_dot,
@@ -144,12 +145,20 @@ def _lines_shape(lines: int) -> _strata.CurveShape:
     return _strata.CurveShape(complete_graph(lines), 1, lines)
 
 
-def _shape_from_options(lines: int | None, input_arg: str | None) -> _strata.CurveShape:
+def _shape_from_options(
+    lines: int | None,
+    input_arg: str | None,
+    max_edges: int = DEFAULT_MAX_EDGES,
+    operation: str = "generating_subgraphs",
+) -> _strata.CurveShape:
     """Shape from --lines N or from an input holding a shape, bare or
-    under 'shape'."""
+    under 'shape'.  K_N's N(N-1)/2 edges meet the cap of the operation
+    before K_N is built."""
     if (lines is None) == (input_arg is None):
         raise StrataError("provide exactly one of --lines N or an input shape")
     if lines is not None:
+        if lines > 1:
+            ensure_cap(lines * (lines - 1) // 2, max_edges, operation)
         return _lines_shape(lines)
     obj = read_json_input(input_arg)
     if not (isinstance(obj, dict) and "shape" in obj):
@@ -340,7 +349,7 @@ def strata() -> None:
 @handle_errors
 def strata_enumerate(max_edges: int, input_arg, lines, fmt, as_table) -> None:
     """Enumerate all strata of a curve shape."""
-    shape = _shape_from_options(lines, input_arg)
+    shape = _shape_from_options(lines, input_arg, max_edges)
     if as_table:
         fmt = "table"
     vertices = shape.dual_graph.vertices
@@ -409,7 +418,7 @@ def strata_local(max_edges: int, input_arg: str) -> None:
 @handle_errors
 def strata_components(max_edges: int, input_arg, lines, count) -> None:
     """Irreducible components: the top strata."""
-    shape = _shape_from_options(lines, input_arg)
+    shape = _shape_from_options(lines, input_arg, max_edges, "b_polynomial")
     comps = _strata.irreducible_components(shape, max_edges)
     if count:
         click.echo(str(len(comps)))
@@ -424,7 +433,7 @@ def strata_components(max_edges: int, input_arg, lines, count) -> None:
 @handle_errors
 def strata_cr(max_edges: int, input_arg, lines) -> None:
     """Completely reducible strata (the compactified-Jacobian index set)."""
-    shape = _shape_from_options(lines, input_arg)
+    shape = _shape_from_options(lines, input_arg, max_edges)
     labels = _strata.cr_strata(shape, max_edges)
     click.echo(_dumps([_strata.classification_to_json_obj(s) for s in labels]))
 

@@ -70,10 +70,6 @@ class Multigraph:
         u, v = self.edges[edge_index]
         return u == v
 
-    def endpoint_ids(self, edge_index: int) -> tuple[str, str]:
-        u, v = self.edges[edge_index]
-        return self.vertices[u], self.vertices[v]
-
     def degree(self, vertex: int) -> int:
         """Number of edge-endpoint incidences at the vertex; a loop counts 2."""
         return sum((u == vertex) + (v == vertex) for u, v in self.edges)
@@ -257,10 +253,6 @@ class PartialOrientation:
     def from_mapping(graph: Multigraph, directions: Mapping[int, bool]) -> "PartialOrientation":
         return PartialOrientation(graph, tuple(sorted((i, bool(f)) for i, f in directions.items())))
 
-    @property
-    def oriented_edges(self) -> frozenset[int]:
-        return frozenset(i for i, _ in self.directions)
-
     def arc(self, edge_index: int) -> tuple[int, int]:
         for i, f in self.directions:
             if i == edge_index:
@@ -378,10 +370,6 @@ def graph_from_json(text: str) -> Multigraph:
 
 def graph_to_json(g: Multigraph) -> str:
     return json.dumps(graph_to_json_obj(g))
-
-
-def divisor_to_json_obj(d: Divisor) -> dict[str, int]:
-    return d.to_mapping()
 
 
 def divisor_from_json_obj(g: Multigraph, obj: Mapping[str, int]) -> Divisor:

@@ -4,8 +4,9 @@ A divisor D is an indegree divisor when some orientation has indegree
 divisor D.  Three equivalent tests are implemented:
 
 * enumerate: sweep all 2^e orientations;
-* flow: a unit-capacity bipartite flow from edges to endpoints, with the
-  divisor as vertex capacities (feasible iff max flow = e and |D| = e);
+* flow: augmenting paths on the graph itself, each edge seeking a head
+  among its endpoints and each vertex v heading at most D(v) edges
+  (feasible iff |D| = e and every edge gets a head);
 * inequalities: |D| = e, and D(S) >= #edges inside S for every vertex
   subset S (checking vertex-induced subgraphs suffices, since adding edges
   inside the same vertex set only tightens the requirement).
@@ -18,7 +19,6 @@ contributes (x_u + x_u) = 2 x_u.  Coefficients are exact big integers.
 
 from __future__ import annotations
 
-import json
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
@@ -106,9 +106,6 @@ class IndegPolynomial:
             out.append({"exponents": exponents, "coeff": str(self.terms[expo])})
         return out
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_obj())
-
 
 def _times_edge(terms: dict[tuple[int, ...], list], u: int, v: int) -> dict[tuple[int, ...], list]:
     """A term map (exponent -> [coefficient, witness flips]) times
@@ -147,9 +144,7 @@ def enumerate_indegree(g: Multigraph, max_edges: int = DEFAULT_MAX_EDGES) -> lis
 
 def multiplicity(g: Multigraph, d: Divisor) -> int:
     """Number of orientations of g with indegree divisor d (0 if none)."""
-    if d.vertices != g.vertices:
-        raise GraphConstructionError("divisor on a different vertex set")
-    if any(x < 0 for x in d.values) or d.degree != g.n_edges:
+    if not _degree_precheck(g, d):
         return 0
     return _bpoly_terms(g).get(d.values, 0)
 
@@ -185,68 +180,41 @@ def _is_indegree_enumerate(g: Multigraph, d: Divisor, max_edges: int) -> Optiona
 
 
 def _max_flow_orientation(g: Multigraph, d: Divisor) -> Optional[Orientation]:
-    """Unit flow from a source through one node per edge into the endpoints,
-    then into a sink with capacity d(v) per vertex.  The divisor is an
-    indegree divisor iff the max flow saturates every edge; the saturated
-    endpoint of each edge is the head of a witness orientation."""
-    e, n = g.n_edges, g.n_vertices
-    # node ids: 0 = source, 1..e = edges, e+1..e+n = vertices, e+n+1 = sink
-    source, sink = 0, e + n + 1
-    cap: dict[tuple[int, int], int] = {}
-    adj: dict[int, list[int]] = {i: [] for i in range(e + n + 2)}
-
-    def add(a: int, b: int, c: int) -> None:
-        if (a, b) not in cap:
-            cap[(a, b)] = 0
-            cap[(b, a)] = 0
-            adj[a].append(b)
-            adj[b].append(a)
-        cap[(a, b)] += c
-
-    for i, (u, v) in enumerate(g.edges):
-        add(source, 1 + i, 1)
-        add(1 + i, e + 1 + u, 1)
-        if v != u:
-            add(1 + i, e + 1 + v, 1)
-    for vi in range(n):
-        if d.values[vi] > 0:
-            add(e + 1 + vi, sink, d.values[vi])
-
-    flow: dict[tuple[int, int], int] = {k: 0 for k in cap}
-    total = 0
-    while True:
-        # BFS augmenting path (Edmonds-Karp)
-        prev: dict[int, int] = {source: source}
-        queue = deque([source])
-        while queue and sink not in prev:
-            a = queue.popleft()
-            for b in adj[a]:
-                if b not in prev and cap[(a, b)] - flow[(a, b)] > 0:
-                    prev[b] = a
-                    queue.append(b)
-        if sink not in prev:
-            break
-        # unit capacities on the source side: bottleneck is always >= 1
-        path = [sink]
-        while path[-1] != source:
-            path.append(prev[path[-1]])
-        path.reverse()
-        bottleneck = min(
-            cap[(a, b)] - flow[(a, b)] for a, b in zip(path, path[1:])
-        )
-        for a, b in zip(path, path[1:]):
-            flow[(a, b)] += bottleneck
-            flow[(b, a)] -= bottleneck
-        total += bottleneck
-    if total != e:
-        return None
-    flips = []
-    for i, (u, v) in enumerate(g.edges):
-        if v == u:
-            flips.append(False)
-        else:
-            flips.append(flow[(1 + i, e + 1 + u)] > 0)
-    return Orientation(g, tuple(flips))
+    """Witness orientation by augmenting paths on the graph itself, or
+    None.  Each edge has a head, or none yet, and each vertex v has room
+    d(v) minus the edges it heads.  A round searches breadth first from
+    every headless edge, in index order: an edge leads to its endpoints
+    other than its head (u, then v), a vertex to the edges it heads (in
+    index order).  The first vertex reached with room ends the path, and
+    every edge on it takes the next vertex as its head.  The divisor is an
+    indegree divisor iff every round finds a path.  This is the visiting
+    order of Edmonds-Karp on the unit flow network source -> edges ->
+    endpoints -> sink (capacity d(v)), so the witnesses are its witnesses."""
+    ends = [(u,) if u == v else (u, v) for u, v in g.edges]
+    incident = [[i for i, pair in enumerate(ends) if x in pair] for x in range(g.n_vertices)]
+    head: list[Optional[int]] = [None] * len(ends)
+    room = list(d.values)
+    for _ in ends:  # each round heads one more edge
+        via: dict[int, int] = {}  # vertex -> the edge it was reached by
+        queue = deque(i for i, h in enumerate(head) if h is None)
+        end = None
+        while queue and end is None:
+            i = queue.popleft()
+            for x in ends[i]:
+                if x != head[i] and x not in via:
+                    via[x] = i
+                    if room[x] > 0:
+                        end = x
+                        break
+                    queue.extend(j for j in incident[x] if head[j] == x)
+        if end is None:
+            return None
+        room[end] -= 1
+        # an edge on the path was reached from its old head (None: start)
+        while end is not None:
+            i = via[end]
+            head[i], end = end, head[i]
+    return Orientation(g, tuple(h == u != v for h, (u, v) in zip(head, g.edges)))
 
 
 def _is_indegree_flow(g: Multigraph, d: Divisor) -> Optional[Orientation]:

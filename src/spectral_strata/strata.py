@@ -370,17 +370,14 @@ def cr_strata(c: CurveShape, max_edges: int = DEFAULT_MAX_EDGES) -> list[Stratum
     witness orientation is totally cyclic, and its divisor satisfies the
     strict subset inequalities.  They must pick the same strata."""
     vertices = c.dual_graph.vertices
-    via_witness: list[tuple[Subgraph, tuple[int, ...]]] = []
-    via_inequalities: list[tuple[Subgraph, tuple[int, ...]]] = []
+    labels = []
     for sub, _, pairs, strata in _strata_table(c, max_edges):
         for values, _, flips, interior in strata:
-            if _totally_cyclic(len(vertices), pairs, flips):
-                via_witness.append((sub, values))
+            if _totally_cyclic(len(vertices), pairs, flips) != interior:
+                raise AssertionError("completely reducible index sets disagree")
             if interior:
-                via_inequalities.append((sub, values))
-    if via_witness != via_inequalities:
-        raise AssertionError("completely reducible index sets disagree")
-    return [StratumLabel(sub, Divisor(vertices, values)) for sub, values in via_witness]
+                labels.append(StratumLabel(sub, Divisor(vertices, values)))
+    return labels
 
 
 def stratum_class(c: CurveShape, s: StratumLabel) -> DivisorClass:

@@ -10,6 +10,7 @@ import pytest
 from click.testing import CliRunner
 
 from spectral_strata.cli import main
+from spectral_strata.graphs import complete_graph
 
 K3_GRAPH = {
     "vertices": ["v1", "v2", "v3"],
@@ -80,6 +81,28 @@ class TestGraphCommands:
     def test_empty_graph_accepted(self):
         out = run_ok("graph", "bpoly", json.dumps({"vertices": [], "edges": []}))
         assert json.loads(out) == [{"exponents": {}, "coeff": "1"}]
+
+    @pytest.mark.parametrize(
+        "edges, values, witness",
+        [
+            # a-c cannot take c (room 0), so a-b moves from a to b
+            ([["a", "b"], ["a", "c"]], (1, 1, 0), [["a", "b"], ["c", "a"]]),
+            ([["a", "b"], ["a", "b"], ["a", "c"]], (1, 2, 0), [["a", "b"], ["a", "b"], ["c", "a"]]),
+            ([["a", "b"], ["a", "a"], ["b", "b"]], (1, 2), [["a", "b"], ["a", "a"], ["b", "b"]]),
+        ],
+    )
+    def test_classify_witness_stdout(self, edges, values, witness):
+        names = ["a", "b", "c"][: len(values)]
+        payload = {"graph": {"vertices": names, "edges": edges}, "divisor": dict(zip(names, values))}
+        expected = {
+            "tag": "reducible_not_cr",
+            "irreducible": False,
+            "completely_reducible": False,
+            "witness": witness,
+        }
+        assert run_ok("graph", "classify", json.dumps(payload)) == json.dumps(
+            expected, separators=(", ", ": ")
+        ) + "\n"
 
     def test_schema_error_names_the_vertex(self):
         bad = json.dumps({"vertices": ["v1"], "edges": [["v1", "v9"]]})
@@ -762,6 +785,29 @@ class TestCliContract:
         assert result.exit_code == 2
         err = json.loads(result.output.strip().splitlines()[-1])
         assert err["error"]["type"] == "CapExceededError"
+
+    @pytest.mark.parametrize(
+        "command, operation",
+        [("enumerate", "generating_subgraphs"), ("cr", "generating_subgraphs"), ("components", "b_polynomial")],
+    )
+    def test_lines_cap_before_building_k_n(self, monkeypatch, command, operation):
+        from spectral_strata import cli
+
+        def capped_complete_graph(n):
+            assert n * (n - 1) // 2 <= 20, f"K_{n} built before the cap check"
+            return complete_graph(n)
+
+        monkeypatch.setattr(cli, "complete_graph", capped_complete_graph)
+        result = run("strata", command, "--lines", "1500")
+        assert result.exit_code == 2
+        err = json.loads(result.output.strip().splitlines()[-1])
+        assert err["error"] == {
+            "type": "CapExceededError",
+            "message": f"{operation}: 1124250 edges exceed the enumeration cap 20",
+        }
+        result = run("strata", command, "--lines", "0")
+        assert result.exit_code == 2
+        assert "curve shape requires m >= 1 and n >= 1" in result.output
 
     def test_max_edges_env(self):
         five_parallel = {

@@ -1,6 +1,7 @@
+import hashlib
 import json
 import random
-from itertools import permutations
+from itertools import permutations, product
 
 import pytest
 from hypothesis import given
@@ -30,6 +31,7 @@ from spectral_strata import (
 
 from helpers import (
     divisor,
+    graph_family,
     graphs_with_divisors,
     graphs_with_orientations,
     make_e2,
@@ -128,6 +130,20 @@ class TestIsIndegree:
         g = make_e2()
         with pytest.raises(StrataError):
             is_indegree(g, divisor(g, 0, 1), method="magic")
+
+    def test_flow_witnesses_are_pinned(self):
+        # the flow route's witness (or None) on every degree-feasible
+        # divisor of the small family, hashed in family order
+        digest = hashlib.sha256()
+        count = 0
+        for g in graph_family(max_vertices=3, max_edges=4):
+            for values in product(range(g.n_edges + 1), repeat=g.n_vertices):
+                if sum(values) == g.n_edges:
+                    w = is_indegree(g, Divisor(g.vertices, values))
+                    digest.update(repr(None if w is None else w.flips).encode())
+                    count += 1
+        assert count == 2740
+        assert digest.hexdigest() == "b94101dcdd8d5f1766dd6b2c274cf5c4904f4710a652ac09abe807fe5b7fa300"
 
     @given(graphs_with_divisors())
     def test_methods_agree_and_witness(self, gd):
