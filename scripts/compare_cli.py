@@ -30,7 +30,11 @@ The commands:
     divisor of the right degree and at a few that are not (a negative
     entry, one unit too many); graph bpoly on the same graphs, and graph
     indeg at seeded orientations of them;
-  * strata enumerate, cr and components at --lines 7 and 1500 (cap
+  * graph classify on cycles, wheels and disjoint cycles of up to 14
+    vertices, at a totally cyclic orientation's divisor, at one unit
+    moved and at a divisor with no orientation;
+  * strata enumerate, cr and components at --lines 7 and 1500, and
+    strata local at the empty stratum of {"lines": 7, 8 and 1500} (cap
     errors; --lines 6 is left out, as its table runs for minutes);
   * matpoly reducibility at n = 4..7: diagonal, upper triangular, cyclic
     and conjugated leading-diagonal polynomials;
@@ -180,6 +184,34 @@ def _graph_commands() -> list[list[str]]:
     return cmds
 
 
+def _cycle_commands() -> list[list[str]]:
+    """graph classify on the cycles C_3..C_14, the wheels W_4..W_10 (hub
+    v1) and two pairs of disjoint cycles.  Each takes the indegree of a
+    totally cyclic orientation (all ones on cycles; on wheels the rim is
+    a directed cycle and the spokes alternate), that divisor with one unit
+    moved from v1 to v2, and with the units of v1 and v2 moved to v3, which
+    leaves the edge v1-v2 no head."""
+    def cycle(start, n):
+        return [(start + i, start + (i + 1) % n) for i in range(n)]
+
+    graphs = [(n, cycle(0, n)) for n in range(3, 15)]
+    graphs += [(n, [(0, i) for i in range(1, n)] + cycle(1, n - 1)) for n in range(4, 11)]
+    graphs += [(a + b, cycle(0, a) + cycle(a, b)) for a, b in ((3, 3), (5, 7))]
+    cmds = []
+    for n, edges in graphs:
+        heads = [0] * n
+        for i, (u, v) in enumerate(edges):
+            heads[u if u == 0 and i % 2 else v] += 1
+        moved = [heads[0] - 1, heads[1] + 1, *heads[2:]]
+        headless = [0, 0, heads[0] + heads[1] + heads[2], *heads[3:]]
+        names = _vertices(n)
+        graph = {"vertices": names, "edges": [[names[u], names[v]] for u, v in edges]}
+        for values in (heads, moved, headless):
+            payload = {"graph": graph, "divisor": dict(zip(names, values))}
+            cmds.append(["graph", "classify", json.dumps(payload)])
+    return cmds
+
+
 def _reducibility_inputs(n: int) -> list:
     """Degree-one n x n polynomials A_0 + lambda diag(1..n), as JSON
     coefficient lists: A_0 diagonal, upper triangular, a directed n-cycle,
@@ -247,6 +279,10 @@ def first_commands(quick: bool) -> list[list[str]]:
             cmds += [base, base + ["--count"], base + ["--format", "csv"]]
 
     cmds += _graph_commands()
+    cmds += _cycle_commands()
+    for n in (7, 8, 1500):
+        empty = {"lines": n, "stratum": {"subgraph": [], "divisor": {}}}
+        cmds.append(["strata", "local", json.dumps(empty)])
     for n in (7, 1500):
         cmds += [["strata", what, "--lines", str(n)] for what in ("enumerate", "cr", "components")]
     shapes = [["--lines", str(n)] for n in range(1, 6)]

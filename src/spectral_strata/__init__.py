@@ -40,6 +40,7 @@ _EXPORTS = {
         "DivisorClass",
         "DivisorTag",
         "IndegPolynomial",
+        "Reducibility",
         "b_polynomial",
         "circuit_count_check",
         "classify",
@@ -87,7 +88,6 @@ _EXPORTS = {
         "BivariatePolynomial",
         "EigenLineData",
         "MatrixPolynomial",
-        "Reducibility",
         "SpectralLineArrangement",
         "arrangement_from_json_obj",
         "arrangement_product",

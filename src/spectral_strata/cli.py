@@ -179,6 +179,19 @@ def _shape_from_obj(obj) -> _strata.CurveShape:
     return _strata.CurveShape(g, _int_field(sh, "m"), _int_field(sh, "n"))
 
 
+def _local_cap_before_k_n(obj, max_edges: int) -> None:
+    """On {"lines": N, "stratum": {"subgraph": [...], "divisor": ...}} with
+    N >= 1 and edge indices of K_N, the census's p = N(N-1)/2 - #distinct
+    indices edges meet local_model's cap before K_N is built."""
+    stratum = obj.get("stratum") if isinstance(obj, dict) and "lines" in obj else None
+    if not (isinstance(stratum, dict) and "divisor" in stratum and _int_field(obj, "lines") > 0):
+        return
+    e = obj["lines"] * (obj["lines"] - 1) // 2
+    edges = stratum.get("subgraph", stratum.get("subgraph_edges"))
+    if isinstance(edges, list) and all(type(i) is int and 0 <= i < e for i in edges):
+        ensure_cap(e - len(set(edges)), max_edges, "local_model")
+
+
 def _int_field(obj: dict, key: str) -> int:
     try:
         value = obj[key]
@@ -400,6 +413,7 @@ def strata_local(max_edges: int, input_arg: str) -> None:
     INPUT: {"shape"|"lines": ..., "stratum": {"subgraph": [...], "divisor": ...}}.
     """
     obj = read_json_input(input_arg)
+    _local_cap_before_k_n(obj, max_edges)
     shape = _shape_from_obj(obj)
     s = _stratum_from_obj(shape.dual_graph, obj.get("stratum"))
     p, q, rows = _strata._local_rows(shape, s, max_edges)

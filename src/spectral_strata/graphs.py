@@ -185,10 +185,6 @@ class Divisor:
         return Divisor(self.vertices, tuple(a - b for a, b in zip(self.values, other.values)))
 
     @staticmethod
-    def zero(vertices: tuple[str, ...]) -> "Divisor":
-        return Divisor(vertices, (0,) * len(vertices))
-
-    @staticmethod
     def from_mapping(vertices: tuple[str, ...], values: Mapping[str, int]) -> "Divisor":
         unknown = set(values) - set(vertices)
         if unknown:
@@ -219,9 +215,6 @@ class Orientation:
         """(tail, head) vertex indices of the directed edge."""
         u, v = self.graph.edges[edge_index]
         return (v, u) if self.flips[edge_index] else (u, v)
-
-    def head(self, edge_index: int) -> int:
-        return self.arc(edge_index)[1]
 
     def arcs(self) -> Iterator[tuple[int, int]]:
         for i in range(self.graph.n_edges):
@@ -290,22 +283,17 @@ def complete_graph(n: int) -> Multigraph:
     return Multigraph(tuple(f"v{i + 1}" for i in range(n)), pairs)
 
 
-def indeg(o: Orientation) -> Divisor:
-    """Indegree divisor of a full orientation: value at v counts directed
-    edges with head v.  Its degree is the number of edges."""
+def indeg(o: Orientation | PartialOrientation) -> Divisor:
+    """Indegree divisor of an orientation: value at v counts directed
+    edges with head v.  Its degree is the number of oriented edges, all
+    edges for a full orientation."""
     counts = [0] * o.graph.n_vertices
     for _, h in o.arcs():
         counts[h] += 1
     return Divisor(o.graph.vertices, tuple(counts))
 
 
-def indeg_partial(o: PartialOrientation) -> Divisor:
-    """Indegree divisor of a partial orientation; counts heads among the
-    oriented edges only, so its degree is the number of oriented edges."""
-    counts = [0] * o.graph.n_vertices
-    for _, h in o.arcs():
-        counts[h] += 1
-    return Divisor(o.graph.vertices, tuple(counts))
+indeg_partial = indeg  # a partial orientation's heads count the same way
 
 
 def degree_divisor(g: Multigraph) -> Divisor:

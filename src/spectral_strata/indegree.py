@@ -49,6 +49,9 @@ class DivisorTag(Enum):
     REDUCIBLE_NOT_CR = "reducible_not_cr"
 
 
+Reducibility = DivisorTag  # matpoly.reducibility's classes, all but NOT_INDEGREE
+
+
 @dataclass(frozen=True)
 class DivisorClass:
     """Classification of a divisor on a multigraph.
@@ -464,29 +467,21 @@ def totally_cyclic(o: Orientation) -> bool:
     return _totally_cyclic(o.graph.n_vertices, o.graph.edges, o.flips)
 
 
-def _interior_by_inequalities(g: Multigraph, d: Divisor) -> bool:
-    """Strict subset inequalities inside every connected component:
-    D(S) > #edges inside S for each nonempty proper S of a component."""
-    for comp in g.connected_components():
-        comp_list = sorted(comp)
-        k = len(comp_list)
-        for mask in range(1, (1 << k) - 1):
-            subset = frozenset(comp_list[i] for i in range(k) if mask >> i & 1)
-            if d.total_on(subset) <= g.induced_edge_count(subset):
-                return False
-    return True
-
-
 def classify(g: Multigraph, d: Divisor, debug: bool = False) -> DivisorClass:
     """Classify a divisor: not an indegree divisor, completely reducible
     (interior), or reducible but not completely reducible.
 
-    The irreducible flag is True when the graph is connected and the
-    divisor is interior; on a connected graph that is the same predicate
-    as completely reducible, so the tag then reads COMPLETELY_REDUCIBLE
-    and IRREDUCIBLE is retained in the enum for schema completeness only.
-    With debug=True every equivalent characterisation is evaluated and
-    cross-checked (exponential; intended for small graphs).
+    An indegree divisor D is interior exactly when its flow witness is
+    totally cyclic, and then every witness is.  If an edge t -> h lies on
+    no directed cycle, the vertices S that reach t form a nonempty proper
+    subset of t's component that no arc enters, so D(S) equals the number
+    of edges inside S.  If every edge lies on one, every cut of a component
+    is crossed both ways, so D(S) > #edges inside S (Hakimi 1965; Stanley
+    1991).  The irreducible flag is interior on a connected graph, where
+    the tag reads COMPLETELY_REDUCIBLE all the same: IRREDUCIBLE is a tag
+    only matpoly.reducibility returns.
+    With debug=True every equivalent characterisation, the subset
+    inequalities included, is evaluated and cross-checked (exponential).
     """
     witness = is_indegree(g, d, method="flow")
     if witness is None:
@@ -494,15 +489,9 @@ def classify(g: Multigraph, d: Divisor, debug: bool = False) -> DivisorClass:
             assert is_indegree(g, d, method="enumerate") is None
             assert is_indegree(g, d, method="inequalities") is None
         return DivisorClass(DivisorTag.NOT_INDEGREE, None, False, False)
-    interior = _interior_by_inequalities(g, d)
+    interior = totally_cyclic(witness)
     irreducible = interior and g.is_connected()
-    if interior:
-        # any witness of an interior divisor is totally cyclic
-        if not totally_cyclic(witness):
-            raise AssertionError("interior divisor produced a non-cyclic witness")
-        tag = DivisorTag.COMPLETELY_REDUCIBLE
-    else:
-        tag = DivisorTag.REDUCIBLE_NOT_CR
+    tag = DivisorTag.COMPLETELY_REDUCIBLE if interior else DivisorTag.REDUCIBLE_NOT_CR
     if debug:
         checks_ir = irreducible_condition_checks(g, d)
         checks_cr = cr_condition_checks(g, d)
@@ -521,6 +510,21 @@ def tau(g: Multigraph, d: Divisor) -> Divisor:
 
 # ---------------------------------------------------------------------------
 # equivalent-condition audits (used by classify(debug=True) and the tests)
+
+def _interior_by_inequalities(g: Multigraph, d: Divisor) -> bool:
+    """Oracle for the interior test: strict subset inequalities inside
+    every connected component, D(S) > #edges inside S for each nonempty
+    proper S of a component.  Exponential in the largest component's
+    size; classify runs it only with debug=True."""
+    for comp in g.connected_components():
+        comp_list = sorted(comp)
+        k = len(comp_list)
+        for mask in range(1, (1 << k) - 1):
+            subset = frozenset(comp_list[i] for i in range(k) if mask >> i & 1)
+            if d.total_on(subset) <= g.induced_edge_count(subset):
+                return False
+    return True
+
 
 def _restriction_achievable(g: Multigraph, d: Divisor, vertex_set: frozenset[int]) -> bool:
     """Is the restriction of d to the vertex set an indegree divisor of some

@@ -13,7 +13,6 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from enum import Enum
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
@@ -43,19 +42,13 @@ from .exact import (
     sqrt_rational,
 )
 from .graphs import Divisor, Multigraph, Subgraph, complete_graph
-from .indegree import is_indegree, multiplicity
+from .indegree import Reducibility, is_indegree, multiplicity
 # classification_to_json_obj is strata's, re-exported for matpoly's callers
 from .strata import StratumLabel, classification_to_json_obj
 
 MAX_MATRIX_SIZE = 6
 
 RationalMatrix = tuple[tuple[Fraction, ...], ...]
-
-
-class Reducibility(Enum):
-    IRREDUCIBLE = "irreducible"
-    REDUCIBLE_NOT_CR = "reducible_not_cr"
-    COMPLETELY_REDUCIBLE = "completely_reducible"
 
 
 @dataclass(frozen=True)

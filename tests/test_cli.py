@@ -104,6 +104,21 @@ class TestGraphCommands:
             expected, separators=(", ", ": ")
         ) + "\n"
 
+    @pytest.mark.parametrize("n", [40, 200])
+    def test_classify_long_cycles(self, n):
+        # far beyond a sweep of the 2^n vertex subsets
+        names = [f"c{i}" for i in range(n)]
+        graph = {"vertices": names, "edges": [[names[i], names[(i + 1) % n]] for i in range(n)]}
+        ones = dict.fromkeys(names, 1)
+        obj = json.loads(run_ok("graph", "classify", json.dumps({"graph": graph, "divisor": ones})))
+        assert obj["tag"] == "completely_reducible"
+        assert obj["irreducible"] is True and len(obj["witness"]) == n
+        if n == 40:
+            moved = {**ones, "c0": 0, "c1": 2}
+            obj = json.loads(run_ok("graph", "classify", json.dumps({"graph": graph, "divisor": moved})))
+            assert obj["tag"] == "reducible_not_cr"
+            assert obj["irreducible"] is False and obj["completely_reducible"] is False
+
     def test_schema_error_names_the_vertex(self):
         bad = json.dumps({"vertices": ["v1"], "edges": [["v1", "v9"]]})
         result = run("graph", "bpoly", bad)
@@ -808,6 +823,34 @@ class TestCliContract:
         result = run("strata", command, "--lines", "0")
         assert result.exit_code == 2
         assert "curve shape requires m >= 1 and n >= 1" in result.output
+
+    def test_local_lines_cap_before_building_k_n(self, monkeypatch):
+        from spectral_strata import cli
+
+        def capped_complete_graph(n):
+            assert n * (n - 1) // 2 <= 20, f"K_{n} built before the cap check"
+            return complete_graph(n)
+
+        monkeypatch.setattr(cli, "complete_graph", capped_complete_graph)
+        # p counts the distinct indices, and a bad divisor now meets the cap first
+        for subgraph, divisor, p in (([], {}, 1124250), ([0, 0, 5], {"zz": 1}, 1124248)):
+            payload = {"lines": 1500, "stratum": {"subgraph": subgraph, "divisor": divisor}}
+            result = run("strata", "local", json.dumps(payload))
+            assert result.exit_code == 2
+            err = json.loads(result.output.strip().splitlines()[-1])
+            assert err["error"] == {
+                "type": "CapExceededError",
+                "message": f"local_model: {p} edges exceed the enumeration cap 20",
+            }
+        result = run("strata", "local", json.dumps({"lines": 0, "stratum": {"subgraph": [], "divisor": {}}}))
+        assert result.exit_code == 2
+        assert "curve shape requires m >= 1 and n >= 1" in result.output
+        # under the cap, and on inputs of another shape, K_N is built as before
+        top = {"subgraph": list(range(15)), "divisor": {f"v{i + 1}": i for i in range(6)}}
+        payload = {"lines": 6, "stratum": top}
+        assert json.loads(run_ok("strata", "local", json.dumps(payload)))["p"] == 0
+        payload = {"lines": 6, "stratum": {"subgraph": [15], "divisor": {}}}
+        assert run("strata", "local", json.dumps(payload)).exit_code == 2
 
     def test_max_edges_env(self):
         five_parallel = {

@@ -339,6 +339,73 @@ class TestClassify:
         classify(g, d, debug=True)
 
 
+class TestClassifyFromWitness:
+    """classify reads complete reducibility off its flow witness; the
+    subset inequalities run only in the debug audit."""
+
+    @staticmethod
+    def feasible(g):
+        for values in product(range(g.n_edges + 1), repeat=g.n_vertices):
+            if sum(values) == g.n_edges:
+                yield Divisor(g.vertices, values)
+
+    def test_default_never_runs_the_inequality_oracle(self, monkeypatch):
+        from spectral_strata import indegree
+
+        def oracle(g, d):
+            raise RuntimeError("subset-inequality oracle called")
+
+        monkeypatch.setattr(indegree, "_interior_by_inequalities", oracle)
+        graphs = list(graph_family(max_vertices=3, max_edges=4))
+        # loops, parallel edges and several components all occur
+        assert any(u == v for g in graphs for u, v in g.edges)
+        assert any(len(set(g.edges)) < g.n_edges for g in graphs)
+        assert any(len(g.connected_components()) > 2 for g in graphs)
+        tags = {classify(g, d).tag for g in graphs for d in self.feasible(g)}
+        assert tags == {DivisorTag.NOT_INDEGREE, DivisorTag.COMPLETELY_REDUCIBLE, DivisorTag.REDUCIBLE_NOT_CR}
+        g = make_k3()
+        with pytest.raises(RuntimeError, match="oracle called"):
+            classify(g, divisor(g, 1, 1, 1), debug=True)
+
+    def test_classes_are_pinned(self):
+        # tag, flags and witness flips on every degree-feasible divisor of
+        # the small family, hashed in family order
+        digest = hashlib.sha256()
+        count = 0
+        for g in graph_family(max_vertices=3, max_edges=4):
+            for d in self.feasible(g):
+                c = classify(g, d)
+                flips = None if c.witness is None else c.witness.flips
+                digest.update(repr((c.tag.value, c.irreducible, c.completely_reducible, flips)).encode())
+                count += 1
+        assert count == 2740
+        assert digest.hexdigest() == "b012869867452b44b90a4f6b0880880cb69d87f979ae3f933648b15af7f8237a"
+
+    def test_matches_inequalities_beyond_the_family(self):
+        from spectral_strata.indegree import _interior_by_inequalities
+
+        rng = random.Random(14)
+        seen = set()
+        for _ in range(300):
+            k = rng.randint(5, 8)
+            pairs = [(i, j) for i in range(k) for j in range(i, k)]
+            edges = tuple(sorted(rng.choice(pairs) for _ in range(rng.randint(k - 1, 2 * k))))
+            g = Multigraph(tuple(f"v{i + 1}" for i in range(k)), edges)
+            heads = [0] * k
+            for u, v in edges:
+                heads[rng.choice((u, v))] += 1
+            moved = list(heads)
+            a, b = rng.sample(range(k), 2)
+            moved[a], moved[b] = moved[a] - 1, moved[b] + 1
+            for values in (heads, moved):
+                d = Divisor(g.vertices, tuple(values))
+                c = classify(g, d)
+                if c.witness is not None:
+                    assert c.completely_reducible == _interior_by_inequalities(g, d), (g, d)
+                    seen.add(c.completely_reducible)
+        assert seen == {True, False}
+
+
 class TestConditionChecks:
     def test_loop_graph_irreducible(self):
         g = make_loop()
