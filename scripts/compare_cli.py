@@ -45,6 +45,9 @@ The commands:
   * matpoly charpoly, matpoly classify and sample on rationals outside
     the grammar -?[0-9]+(/[0-9]+)? (underscores, spaces, exponents,
     decimals);
+  * every command that takes an INPUT on files holding JSON that is no
+    object (5, 1.5, true, null, "x"), matpoly classify with the file as
+    --arrangement too;
   * --help of the root command, of every group and of every subcommand.
 
 --quick drops the K5 Hasse exports and keeps the first two benchmark
@@ -62,6 +65,7 @@ import math
 import random
 import subprocess
 import sys
+import tempfile
 import traceback
 from fractions import Fraction
 from pathlib import Path
@@ -91,6 +95,8 @@ COMMANDS = {
 }
 #: Strings that parse_rational rejects, and that Fraction accepts.
 NOT_RATIONAL = ("1_0", " 2 ", "1e4300", "0.5", "+3", "1/-2")
+#: JSON texts that are no object.
+SCALARS = ("5", "1.5", "true", "null", '"x"')
 
 
 def _vertices(n: int) -> list[str]:
@@ -254,6 +260,22 @@ def _cubic_points(lines) -> list[list[str]]:
         if root is not None:
             points += [[str(z), str(w)] for w in ((k * z + root) / 2, (k * z - root) / 2) if w]
     return points[:2]
+
+
+def _scalar_commands(folder: Path) -> list[list[str]]:
+    """Every command that takes an INPUT, on a file in folder holding each
+    of SCALARS; matpoly classify takes the file as --arrangement too."""
+    cmds = []
+    for i, text in enumerate(SCALARS):
+        path = folder / f"scalar{i}.json"
+        path.write_text(text)
+        arg = str(path)
+        for group, subcommands in COMMANDS.items():
+            for name in subcommands:
+                extra = ["--arrangement", arg] if (group, name) == ("matpoly", "classify") else []
+                cmds.append([group, name, arg, *extra])
+        cmds.append(["sample", arg])
+    return cmds
 
 
 def first_commands(quick: bool) -> list[list[str]]:
@@ -454,8 +476,9 @@ def main(argv: list[str]) -> int:
         print(__doc__, file=sys.stderr)
         return 2
     old, new = (Path(p).resolve() for p in paths)
-    first = first_commands(quick)
-    old_results, differing = compare(old, new, first)
+    with tempfile.TemporaryDirectory() as folder:
+        first = first_commands(quick) + _scalar_commands(Path(folder))
+        old_results, differing = compare(old, new, first)
     second = second_commands(first, old_results)
     _, more = compare(old, new, second)
     total = len(first) + len(second)

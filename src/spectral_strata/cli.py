@@ -542,6 +542,8 @@ def sample(input_arg: str) -> None:
     from . import matpoly as _matpoly
 
     obj = read_json_input(input_arg)
+    if not isinstance(obj, dict):
+        raise StrataError("input must be a JSON object")
     if "lines" not in obj:
         raise StrataError("sample input needs 'lines'")
     c = _matpoly.arrangement_from_json_obj(obj)

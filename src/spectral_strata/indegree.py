@@ -110,28 +110,23 @@ class IndegPolynomial:
         return out
 
 
-def _times_edge(terms: dict[tuple[int, ...], list], u: int, v: int) -> dict[tuple[int, ...], list]:
-    """A term map (exponent -> [coefficient, witness flips]) times
-    (x_u + x_v).  The new edge's flip (True: head u) goes in front of each
-    witness, so folding edges last to first lines flips up with edges."""
-    out: dict[tuple[int, ...], list] = {}
-    for expo, (coeff, flips) in terms.items():
-        for head, flip in ((v, False), (u, True)):
+def _times_edge(terms: dict[tuple[int, ...], int], u: int, v: int) -> dict[tuple[int, ...], int]:
+    """A term map (exponent -> coefficient) times (x_u + x_v): each term
+    adds its coefficient at its exponent bumped at head v, then at head u."""
+    out: dict[tuple[int, ...], int] = {}
+    for expo, coeff in terms.items():
+        for head in (v, u):
             bumped = expo[:head] + (expo[head] + 1,) + expo[head + 1:]
-            term = out.get(bumped)
-            if term is None:
-                out[bumped] = [coeff, (flip,) + flips]
-            else:
-                term[0] += coeff
+            out[bumped] = out.get(bumped, 0) + coeff
     return out
 
 
 @lru_cache(maxsize=512)
 def _bpoly_terms(g: Multigraph) -> dict[tuple[int, ...], int]:
-    terms = {(0,) * g.n_vertices: [1, ()]}
+    terms = {(0,) * g.n_vertices: 1}
     for u, v in reversed(g.edges):
         terms = _times_edge(terms, u, v)
-    return {expo: coeff for expo, (coeff, _) in terms.items()}
+    return terms
 
 
 def b_polynomial(g: Multigraph, max_edges: int = DEFAULT_MAX_EDGES) -> IndegPolynomial:

@@ -13,11 +13,10 @@ is a product of p nodes and a disk, so its neighbourhood carries exactly
 3^p local strata.
 
 One walk over an edge-subset lattice (_walk) serves four builders.  In
-bitmask order it builds the term map of x^D times the product of
-(x_u + x_v) over a subset from the map of the subset without its lowest
-edge, by the step b_polynomial also folds; every term carries its
-coefficient and a witness orientation whose indegree is checked.
-enumerate_strata, _strata_table and _hasse_table walk all edges from
+bitmask order it builds the term map (exponent -> coefficient) of x^D
+times the product of (x_u + x_v) over a subset from the map of the
+subset without its lowest edge, by the step b_polynomial also folds.
+enumerate_strata, _table_rows and _hasse_table walk all edges from
 D = 0.  _hasse_table keys each (bitmask, divisor) pair by one integer,
 the digits of the bitmask and the divisor in radix e+1, so a cover is the
 lower key plus a fixed offset per (edge, head) and costs one lookup.
@@ -26,15 +25,14 @@ coefficients are relative multiplicities.  Both return integer rows,
 (bitmask, divisor values[, multiplicity]): hasse_diagram and local_model
 build their labels from them, and the CLI renders its Hasse exports
 (hasse_dot_lines for DOT) and local censuses straight from the rows, as
-streams, with no label per element.  cr_strata reads _strata_table,
-which does each subgraph's work once: the dimension check, the edge
-pairs, the component tables and the interior flags (strict subset
-inequalities) of all its divisors in one bit-parallel pass; each witness
-is checked to be totally cyclic on vertex bitmasks from its flips, with
-no Orientation built per stratum.  _table_rows reduces it to each
-subgraph's (divisor values, class, multiplicity) rows; stratum_rows
-builds its dicts from them, and strata_csv and the CLI's strata
-enumerate render them as text streams, one %-template per subgraph.
+streams, with no label per element.  _table_rows does each subgraph's
+work once: the dimension check, the component tables and the interior
+flags (strict subset inequalities) of all its divisors in one
+bit-parallel pass, which give each stratum's class.  It yields each
+subgraph's (divisor values, class, multiplicity) rows; cr_strata keeps
+the completely reducible ones, stratum_rows builds its dicts from them,
+and strata_csv and the CLI's strata enumerate render them as text
+streams, one %-template per subgraph.
 irreducible_components reads b_polynomial, as its top row is one chain of
 e steps.  No flow search runs on these labels; labels from a caller are
 checked by max flow (_validate_stratum).
@@ -66,7 +64,6 @@ from .indegree import (
     _component_tables,
     _interior_flags,
     _times_edge,
-    _totally_cyclic,
     classify,
     enumerate_indegree,
     is_indegree,
@@ -160,11 +157,10 @@ def _dimension(c: CurveShape, n_edges: int) -> int:
 
 def _walk(g: Multigraph, edges: Sequence[int], base: tuple[int, ...]) -> Iterator[dict]:
     """For each mask over the positions in edges, ascending: the term map
-    (exponent -> [coefficient, witness flips]) of x^base times (x_u + x_v)
-    over the masked edges, built from the map at mask ^ lowbit(mask) with
-    only the chain of parents in memory.  Every witness's indegree plus
-    base is checked against its exponent."""
-    chain: list[tuple[int, dict]] = [(0, {base: [1, ()]})]
+    (exponent -> coefficient) of x^base times (x_u + x_v) over the masked
+    edges, built from the map at mask ^ lowbit(mask) with only the chain
+    of parents in memory."""
+    chain: list[tuple[int, dict]] = [(0, {base: 1})]
     for mask in range(1 << len(edges)):
         if mask:
             low = mask & -mask
@@ -172,33 +168,13 @@ def _walk(g: Multigraph, edges: Sequence[int], base: tuple[int, ...]) -> Iterato
                 chain.pop()
             u, v = g.edges[edges[low.bit_length() - 1]]
             chain.append((mask, _times_edge(chain[-1][1], u, v)))
-        terms = chain[-1][1]
-        pairs = [g.edges[e] for i, e in enumerate(edges) if mask >> i & 1]
-        for expo, (_, flips) in terms.items():
-            heads = list(base)
-            for (a, b), flip in zip(pairs, flips):
-                heads[a if flip else b] += 1
-            if tuple(heads) != expo:
-                raise AssertionError(f"witness of {expo} on edge set {mask} has another indegree")
-        yield terms
+        yield chain[-1][1]
 
 
 def _full_walk(g: Multigraph, max_edges: int) -> Iterator[tuple[Subgraph, dict]]:
     """(subgraph, term map) for every generating subgraph, by bitmask."""
     subgraphs = generating_subgraphs(g, max_edges)
     return zip(subgraphs, _walk(g, range(g.n_edges), (0,) * g.n_vertices))
-
-
-def _strata_table(c: CurveShape, max_edges: int) -> Iterator[tuple[Subgraph, int, tuple, list]]:
-    """Per generating subgraph, by bitmask: the subgraph, its stratum
-    dimension (checked), its edge pairs and its strata as (divisor values,
-    multiplicity, witness flips, interior) in divisor order."""
-    for sub, terms in _full_walk(c.dual_graph, max_edges):
-        dim = _dimension(c, sub.n_edges)
-        graph = sub.as_multigraph()
-        expos = sorted(terms)
-        flags = _interior_flags(expos, graph.n_edges, _component_tables(graph))
-        yield sub, dim, graph.edges, [(x, *terms[x], f) for x, f in zip(expos, flags)]
 
 
 def enumerate_strata(c: CurveShape, max_edges: int = DEFAULT_MAX_EDGES) -> list[StratumLabel]:
@@ -254,7 +230,7 @@ def _local_rows(
     # the rows come out in canonical order without re-sorting
     for mask, terms in enumerate(_walk(g, rest, s2.divisor.values)):
         full = base | sum(1 << e for i, e in enumerate(rest) if mask >> i & 1)
-        rows += [(full, expo, terms[expo][0]) for expo in sorted(terms)]
+        rows += [(full, expo, terms[expo]) for expo in sorted(terms)]
     total = sum(row[2] for row in rows)
     if total != 3 ** p:
         raise AssertionError(f"local census sums to {total}, expected 3^{p}")
@@ -366,18 +342,16 @@ def cr_strata(c: CurveShape, max_edges: int = DEFAULT_MAX_EDGES) -> list[Stratum
     """Strata whose divisor is completely reducible.  This single index
     set simultaneously labels the completely reducible locus of the
     isospectral variety and the canonical compactified-Jacobian
-    stratification.  Both filters run on every stratum of the table: its
-    witness orientation is totally cyclic, and its divisor satisfies the
-    strict subset inequalities.  They must pick the same strata."""
+    stratification.  They are the rows of _table_rows of class
+    completely_reducible, in table order."""
     vertices = c.dual_graph.vertices
-    labels = []
-    for sub, _, pairs, strata in _strata_table(c, max_edges):
-        for values, _, flips, interior in strata:
-            if _totally_cyclic(len(vertices), pairs, flips) != interior:
-                raise AssertionError("completely reducible index sets disagree")
-            if interior:
-                labels.append(StratumLabel(sub, Divisor(vertices, values)))
-    return labels
+    cr = DivisorTag.COMPLETELY_REDUCIBLE.value
+    return [
+        StratumLabel(sub, Divisor(vertices, values))
+        for sub, _, strata in _table_rows(c, max_edges)
+        for values, cls, _ in strata
+        if cls == cr
+    ]
 
 
 def stratum_class(c: CurveShape, s: StratumLabel) -> DivisorClass:
@@ -393,19 +367,19 @@ def _table_rows(
 ) -> Iterator[tuple[Subgraph, int, list[tuple[tuple[int, ...], str, int]]]]:
     """Per generating subgraph, by bitmask: the subgraph, its stratum
     dimension (checked) and its strata as (divisor values, class,
-    multiplicity of the divisor on the subgraph) in divisor order.  The
-    first subgraph is the empty one, of the lowest dimension, so taking
-    it raises the cap and dimension errors."""
-    n = c.dual_graph.n_vertices
+    multiplicity of the divisor on the subgraph) in divisor order, read
+    off the walk's coefficients.  A divisor is completely reducible
+    exactly when it is interior, and the interior flags of all the
+    subgraph's divisors come from one pass of _interior_flags.  The first
+    subgraph is the empty one, of the lowest dimension, so taking it
+    raises the cap and dimension errors."""
     cr, not_cr = DivisorTag.COMPLETELY_REDUCIBLE.value, DivisorTag.REDUCIBLE_NOT_CR.value
-    for sub, dim, pairs, strata in _strata_table(c, max_edges):
-        rows = []
-        for values, mult, flips, interior in strata:
-            # any witness of an interior divisor is totally cyclic
-            if interior and not _totally_cyclic(n, pairs, flips):
-                raise AssertionError("interior divisor produced a non-cyclic witness")
-            rows.append((values, cr if interior else not_cr, mult))
-        yield sub, dim, rows
+    for sub, terms in _full_walk(c.dual_graph, max_edges):
+        dim = _dimension(c, sub.n_edges)
+        graph = sub.as_multigraph()
+        expos = sorted(terms)
+        flags = _interior_flags(expos, graph.n_edges, _component_tables(graph))
+        yield sub, dim, [(x, cr if f else not_cr, terms[x]) for x, f in zip(expos, flags)]
 
 
 def _divisor_template(vertices: Sequence[str], item_sep: str = ", ", key_sep: str = ": ") -> str:

@@ -787,6 +787,29 @@ class TestCliContract:
             "(more nodes than the degree bound permits)",
         }
 
+    @pytest.mark.parametrize("text", ["5", "1.5", "true", "null", '"x"'])
+    def test_scalar_input_exits_2(self, tmp_path, text):
+        path = tmp_path / "scalar.json"
+        path.write_text(text)
+        arg = str(path)
+        commands = [
+            *(["graph", name, arg] for name in ("indeg", "bpoly", "classify", "dot")),
+            *(["zonotope", name, arg] for name in ("points", "vertices")),
+            *(["strata", name, arg] for name in ("enumerate", "adjacency", "local", "components", "cr")),
+            ["hasse", "export", arg],
+            ["matpoly", "charpoly", arg],
+            ["matpoly", "classify", arg, "--arrangement", arg],
+            ["matpoly", "classify", json.dumps(ORB2), "--arrangement", arg],
+            ["matpoly", "reducibility", arg],
+            ["sample", arg],
+        ]
+        for argv in commands:
+            result = run(*argv)
+            assert result.exit_code == 2, argv
+            assert "Traceback" not in result.stderr, argv
+            err = json.loads(result.stderr.strip().splitlines()[-1])
+            assert list(err) == ["error"], argv
+
     def test_missing_file(self):
         result = run("graph", "bpoly", "no-such-file.json")
         assert result.exit_code == 2

@@ -1,3 +1,4 @@
+import itertools
 import json
 import random
 from collections import Counter
@@ -24,6 +25,7 @@ from spectral_strata import (
     hasse_diagram,
     hasse_to_dot,
     irreducible_components,
+    is_indegree,
     local_model,
     multiplicity,
     path_count_multiplicity,
@@ -41,7 +43,7 @@ from spectral_strata.indegree import (
     _interior_flags,
     _totally_cyclic,
 )
-from spectral_strata.strata import _full_walk
+from spectral_strata.strata import _full_walk, _walk
 
 from helpers import divisor, make_e2, make_k3, make_k4, make_loop, multigraphs, pair_types
 
@@ -591,6 +593,48 @@ def cyclic_by_reachability(n, pairs, flips):
     return all(reachable(h, t) for t, h in arcs)
 
 
+def sweep_terms(g, edges, base):
+    """Counter of base plus the indegree vector over every orientation of
+    the given edges of g: one head per edge, drawn from its endpoints (a
+    loop's two orientations have the same head)."""
+    counts = Counter()
+    for heads in itertools.product(*(g.edges[e] for e in edges)):
+        values = list(base)
+        for h in heads:
+            values[h] += 1
+        counts[tuple(values)] += 1
+    return counts
+
+
+class TestWalkAgainstOrientationSweep:
+    """The term map of the edge-subset walk at every mask against the
+    indegree vectors of all orientations of the masked edges."""
+
+    def family(self):
+        family = list(seeded_multigraphs(100))
+        assert any(u == v for g in family for u, v in g.edges)
+        assert any(len(set(g.edges)) < g.n_edges for g in family)
+        return family
+
+    def check(self, g, edges, base):
+        for mask, terms in enumerate(_walk(g, edges, base)):
+            masked = [e for i, e in enumerate(edges) if mask >> i & 1]
+            assert terms == sweep_terms(g, masked, base), (g, edges, base, mask)
+
+    def test_all_edges_from_zero(self):
+        for g in self.family():
+            self.check(g, range(g.n_edges), (0,) * g.n_vertices)
+
+    def test_edge_subset_from_nonzero_base(self):
+        # the local census walks the edges outside a stratum from its divisor
+        rng = random.Random(15)
+        for g in self.family():
+            edges = sorted(rng.sample(range(g.n_edges), rng.randint(0, g.n_edges)))
+            base = [rng.randint(0, 2) for _ in g.vertices]
+            base[rng.randrange(g.n_vertices)] += 1
+            self.check(g, edges, tuple(base))
+
+
 class TestPerSubgraphKernels:
     """The bit-parallel interior flags and the bitmask totally-cyclic test
     against oracles that share no code with them: the frozenset subset
@@ -618,7 +662,7 @@ class TestPerSubgraphKernels:
                 for expo, flag in zip(expos, flags):
                     interior = _interior_by_inequalities(graph, Divisor(g.vertices, expo))
                     assert flag == interior, (g, sub.edge_list(), expo)
-                    flips = terms[expo][1]
+                    flips = is_indegree(graph, Divisor(g.vertices, expo)).flips
                     cyclic = cyclic_by_reachability(g.n_vertices, graph.edges, flips)
                     assert _totally_cyclic(g.n_vertices, graph.edges, flips) == cyclic
                     # the witness of an interior divisor is totally cyclic
@@ -641,7 +685,7 @@ class TestPerSubgraphKernels:
         assert any(oracle) and not all(oracle)
 
     def test_table_builds_no_orientation(self, monkeypatch):
-        # the table checks witnesses on their flips and edge pairs; an
+        # the table reads each class off the interior flags; an
         # Orientation per stratum would be repeated work
         from spectral_strata import graphs
 
