@@ -35,7 +35,13 @@ The commands:
     moved and at a divisor with no orientation;
   * strata enumerate, cr and components at --lines 7 and 1500, and
     strata local at the empty stratum of {"lines": 7, 8 and 1500} (cap
-    errors; --lines 6 is left out, as its table runs for minutes);
+    errors), and on {"lines": 1500} with no stratum, with a stratum
+    without a divisor and with edge index 2000000;
+  * strata cr --lines 6 (267,174 rows; strata enumerate --lines 6 is left
+    out, as its 1.4 GB table runs for most of a minute);
+  * graph bpoly, zonotope points --format csv, zonotope vertices and
+    strata components at --max-edges 301 on 300 parallel edges a-b plus a
+    loop at b, whose exponent 301 needs more than a byte;
   * matpoly reducibility at n = 4..7: diagonal, upper triangular, cyclic
     and conjugated leading-diagonal polynomials;
   * sample at every 2- and 3-line stratum of several arrangements, with
@@ -50,8 +56,8 @@ The commands:
     --arrangement too;
   * --help of the root command, of every group and of every subcommand.
 
---quick drops the K5 Hasse exports and keeps the first two benchmark
-seeds.  Exit status: 0 when every command agrees, 1 otherwise.  Uses the
+--quick drops the K5 Hasse exports and strata cr --lines 6, and keeps
+the first two benchmark seeds.  Exit status: 0 when every command agrees, 1 otherwise.  Uses the
 standard library only; the worker imports the package under test.
 """
 
@@ -305,8 +311,21 @@ def first_commands(quick: bool) -> list[list[str]]:
     for n in (7, 8, 1500):
         empty = {"lines": n, "stratum": {"subgraph": [], "divisor": {}}}
         cmds.append(["strata", "local", json.dumps(empty)])
+    for stratum in ({}, {"stratum": {"subgraph": []}}, {"stratum": {"subgraph": [2000000], "divisor": {}}}):
+        cmds.append(["strata", "local", json.dumps({"lines": 1500, **stratum})])
     for n in (7, 1500):
         cmds += [["strata", what, "--lines", str(n)] for what in ("enumerate", "cr", "components")]
+    if not quick:
+        cmds.append(["strata", "cr", "--lines", "6"])
+    wide = _graph(2, [(0, 1)] * 300 + [(1, 1)])
+    wide_shape = json.dumps({"shape": {"graph": json.loads(wide), "m": 301, "n": 2}})
+    for argv in (
+        ["graph", "bpoly", wide],
+        ["zonotope", "points", wide, "--format", "csv"],
+        ["zonotope", "vertices", wide],
+        ["strata", "components", wide_shape],
+    ):
+        cmds.append(["--max-edges", "301", *argv])
     shapes = [["--lines", str(n)] for n in range(1, 6)]
     for k, edges in itertools.chain(_multigraphs(12, loops=False), _multigraphs(12, loops=True)):
         shape = {"graph": json.loads(_graph(k, edges)), "m": max(len(edges), 1), "n": 2}

@@ -11,7 +11,7 @@ from __future__ import annotations
 import functools
 import json
 import sys
-from itertools import chain, islice
+from itertools import chain, compress, islice
 from pathlib import Path
 from typing import Iterable, Iterator
 
@@ -23,6 +23,7 @@ from .graphs import (
     Multigraph,
     Orientation,
     Subgraph,
+    check_edge_indices,
     complete_graph,
     divisor_from_json_obj,
     ensure_cap,
@@ -61,24 +62,25 @@ def _json_array(items: Iterable[str]) -> Iterator[str]:
 
 
 def _label_texts(g: Multigraph, rows: Iterable[tuple]) -> Iterator[str]:
-    """For rows (edge bitmask, divisor values, ...) in bitmask order: the
+    """For rows (edge bitmask, exponent key, ...) in bitmask order: the
     _dumps text of each {"subgraph": [...], "divisor": {...}} object
     without its closing brace.  Vertex names are encoded once, into a
     %-template of the divisor, and each subgraph's prefix once."""
     divisor = _strata._divisor_template(g.vertices)
+    decode = _strata._decoder(g)
     mask = template = None
     for row in rows:
         if row[0] != mask:
             mask = row[0]
             edges = [i for i in range(g.n_edges) if mask >> i & 1]
             template = '{"subgraph": ' + _dumps(edges) + ', "divisor": ' + divisor
-        yield template % row[1]
+        yield template % decode(row[1])
 
 
-def _stratum_texts(vertices, table: Iterable[tuple]) -> Iterator[str]:
+def _stratum_texts(g: Multigraph, table: Iterable[tuple]) -> Iterator[str]:
     """The _dumps text of each stratum_rows row, from the _table_rows
     table, with one %-template per subgraph (as in _label_texts)."""
-    divisor = _strata._divisor_template(vertices)
+    divisor = _strata._divisor_template(g.vertices)
 
     def template(sub: Subgraph, dim: int) -> str:
         edges = _dumps(list(sub.edge_list()))
@@ -88,7 +90,7 @@ def _stratum_texts(vertices, table: Iterable[tuple]) -> Iterator[str]:
             + f', "dimension": {dim}, "class": "%s", "multiplicity": %d}}'
         )
 
-    return _strata._stratum_lines(table, template)
+    return _strata._stratum_lines(g, table, template)
 
 
 def read_json_input(source: str) -> dict:
@@ -179,17 +181,17 @@ def _shape_from_obj(obj) -> _strata.CurveShape:
     return _strata.CurveShape(g, _int_field(sh, "m"), _int_field(sh, "n"))
 
 
-def _local_cap_before_k_n(obj, max_edges: int) -> None:
-    """On {"lines": N, "stratum": {"subgraph": [...], "divisor": ...}} with
-    N >= 1 and edge indices of K_N, the census's p = N(N-1)/2 - #distinct
-    indices edges meet local_model's cap before K_N is built."""
-    stratum = obj.get("stratum") if isinstance(obj, dict) and "lines" in obj else None
-    if not (isinstance(stratum, dict) and "divisor" in stratum and _int_field(obj, "lines") > 0):
+def _local_checks_before_k_n(obj, max_edges: int) -> None:
+    """On {"lines": N, "stratum": ...} with N >= 1, the checks that need
+    only N, in the order they would meet K_N: the stratum's structure, its
+    edge indices against the N(N-1)/2 edges, and the census's
+    p = N(N-1)/2 - #distinct indices edges against local_model's cap."""
+    if not (isinstance(obj, dict) and "lines" in obj and _int_field(obj, "lines") > 0):
         return
     e = obj["lines"] * (obj["lines"] - 1) // 2
-    edges = stratum.get("subgraph", stratum.get("subgraph_edges"))
-    if isinstance(edges, list) and all(type(i) is int and 0 <= i < e for i in edges):
-        ensure_cap(e - len(set(edges)), max_edges, "local_model")
+    edges = _stratum_edges(obj.get("stratum"))
+    check_edge_indices(edges, e)
+    ensure_cap(e - len(set(edges)), max_edges, "local_model")
 
 
 def _int_field(obj: dict, key: str) -> int:
@@ -203,7 +205,8 @@ def _int_field(obj: dict, key: str) -> int:
     return value
 
 
-def _stratum_from_obj(g: Multigraph, obj) -> _strata.StratumLabel:
+def _stratum_edges(obj) -> list[int]:
+    """The edge indices of a stratum object, whose structure is checked."""
     if not isinstance(obj, dict):
         raise StrataError("stratum must be an object")
     edges = obj.get("subgraph", obj.get("subgraph_edges"))
@@ -214,7 +217,11 @@ def _stratum_from_obj(g: Multigraph, obj) -> _strata.StratumLabel:
         isinstance(e, int) and not isinstance(e, bool) for e in edges
     ):
         raise StrataError("stratum 'subgraph' must be a list of integer edge indices")
-    sub = Subgraph(g, frozenset(edges))
+    return edges
+
+
+def _stratum_from_obj(g: Multigraph, obj) -> _strata.StratumLabel:
+    sub = Subgraph(g, frozenset(_stratum_edges(obj)))
     return _strata.StratumLabel(sub, divisor_from_json_obj(g, obj["divisor"]))
 
 
@@ -351,6 +358,13 @@ def strata() -> None:
     """Stratification of the isospectral variety."""
 
 
+def _table(shape: _strata.CurveShape, max_edges: int) -> Iterator[tuple]:
+    """The _table_rows table of the shape.  Its first subgraph raises the
+    cap and dimension errors, so it is taken before any output."""
+    table = _strata._table_rows(shape, max_edges)
+    return chain([next(table)], table)
+
+
 @strata.command("enumerate")
 @click.argument("input_arg", metavar="[INPUT]", required=False)
 @click.option("--lines", type=int, default=None, help="n-lines shape (dual graph K_n, m=1).")
@@ -365,23 +379,22 @@ def strata_enumerate(max_edges: int, input_arg, lines, fmt, as_table) -> None:
     shape = _shape_from_options(lines, input_arg, max_edges)
     if as_table:
         fmt = "table"
-    vertices = shape.dual_graph.vertices
-    table = _strata._table_rows(shape, max_edges)
-    # the first subgraph raises the cap and dimension errors, so they come
-    # before any output
-    table = chain([next(table)], table)
+    g = shape.dual_graph
+    table = _table(shape, max_edges)
     if fmt == "csv":
-        _echo_stream(_strata._csv_lines(vertices, table))
+        _echo_stream(_strata._csv_lines(g, table))
         return
     if fmt == "json":
-        _echo_stream(chain(_json_array(_stratum_texts(vertices, table)), ["\n"]))
+        _echo_stream(chain(_json_array(_stratum_texts(g, table)), ["\n"]))
         return
-    divisor = _strata._divisor_template(vertices, ",", ":")
+    divisor = _strata._divisor_template(g.vertices, ",", ":")
+    decode = _strata._decoder(g)
     rows = [["id", "edge_bitmask", "divisor", "dimension", "class", "multiplicity"]]
-    for sub, dim, entries in table:
-        for values, cls, mult in entries:
+    for sub, dim, keys, flags, terms in table:
+        for key, flag in zip(keys, flags):
             row_id = str(len(rows) - 1)
-            rows.append([row_id, str(sub.bitmask), divisor % values, str(dim), cls, str(mult)])
+            cls, mult = _strata._CLASS[flag], terms[key]
+            rows.append([row_id, str(sub.bitmask), divisor % decode(key), str(dim), cls, str(mult)])
     widths = [max(map(len, column)) for column in zip(*rows)]
     _echo_stream("  ".join(x.ljust(w) for x, w in zip(row, widths)).rstrip() + "\n" for row in rows)
 
@@ -413,7 +426,7 @@ def strata_local(max_edges: int, input_arg: str) -> None:
     INPUT: {"shape"|"lines": ..., "stratum": {"subgraph": [...], "divisor": ...}}.
     """
     obj = read_json_input(input_arg)
-    _local_cap_before_k_n(obj, max_edges)
+    _local_checks_before_k_n(obj, max_edges)
     shape = _shape_from_obj(obj)
     s = _stratum_from_obj(shape.dual_graph, obj.get("stratum"))
     p, q, rows = _strata._local_rows(shape, s, max_edges)
@@ -448,8 +461,13 @@ def strata_components(max_edges: int, input_arg, lines, count) -> None:
 def strata_cr(max_edges: int, input_arg, lines) -> None:
     """Completely reducible strata (the compactified-Jacobian index set)."""
     shape = _shape_from_options(lines, input_arg, max_edges)
-    labels = _strata.cr_strata(shape, max_edges)
-    click.echo(_dumps([_strata.classification_to_json_obj(s) for s in labels]))
+    rows = (
+        (sub.bitmask, key)
+        for sub, _, keys, flags, _ in _table(shape, max_edges)
+        for key in compress(keys, flags)
+    )
+    texts = (text + "}" for text in _label_texts(shape.dual_graph, rows))
+    _echo_stream(chain(_json_array(texts), ["\n"]))
 
 
 # ---------------------------------------------------------------------------
@@ -470,7 +488,9 @@ def hasse_export(max_edges: int, input_arg: str, fmt: str) -> None:
     g = _graph_from_any(read_json_input(input_arg))
     elements, covers = _strata._hasse_table(g, max_edges)
     if fmt == "dot":
-        _echo_stream(_strata.hasse_dot_lines(elements, covers))
+        decode = _strata._decoder(g)
+        labels = ((mask, decode(key)) for mask, key in elements)
+        _echo_stream(_strata.hasse_dot_lines(labels, covers))
         return
     _echo_stream(
         chain(

@@ -31,6 +31,12 @@ def ensure_cap(n_edges: int, max_edges: int, operation: str) -> None:
         )
 
 
+def check_edge_indices(edges: Iterable[int], n_edges: int) -> None:
+    """Raise unless every index is one of n_edges edges."""
+    if not all(0 <= i < n_edges for i in edges):
+        raise GraphConstructionError("edge_set contains an unknown edge index")
+
+
 @dataclass(frozen=True)
 class Multigraph:
     """Immutable undirected multigraph, loops allowed.
@@ -112,8 +118,7 @@ class Subgraph:
     edge_set: frozenset[int]
 
     def __post_init__(self) -> None:
-        if not all(0 <= i < self.parent.n_edges for i in self.edge_set):
-            raise GraphConstructionError("edge_set contains an unknown edge index")
+        check_edge_indices(self.edge_set, self.parent.n_edges)
 
     @cached_property
     def bitmask(self) -> int:
@@ -307,11 +312,15 @@ def degree_divisor(g: Multigraph) -> Divisor:
 
 def generating_subgraphs(g: Multigraph, max_edges: int = DEFAULT_MAX_EDGES) -> list[Subgraph]:
     """All 2^e generating subgraphs, ordered by edge-index bitmask."""
+    return list(_subgraphs(g, max_edges))
+
+
+def _subgraphs(g: Multigraph, max_edges: int) -> Iterator[Subgraph]:
+    """The generating subgraphs one at a time, each built when it is
+    reached; the cap is checked at the call."""
     ensure_cap(g.n_edges, max_edges, "generating_subgraphs")
-    out = []
-    for mask in range(1 << g.n_edges):
-        out.append(Subgraph(g, frozenset(i for i in range(g.n_edges) if mask >> i & 1)))
-    return out
+    edges = range(g.n_edges)
+    return (Subgraph(g, frozenset(i for i in edges if mask >> i & 1)) for mask in range(1 << g.n_edges))
 
 
 def all_orientations(g: Multigraph, max_edges: int = DEFAULT_MAX_EDGES) -> Iterator[Orientation]:

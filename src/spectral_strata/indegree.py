@@ -15,16 +15,24 @@ The multiplicity of D is the number of orientations with indegree D,
 equivalently the coefficient of the monomial of D in the generating
 polynomial built as the product over edges [u, v] of (x_u + x_v); a loop
 contributes (x_u + x_u) = 2 x_u.  Coefficients are exact big integers.
+
+Inside the package a term map keys each exponent by one integer: its
+digits are the vertex exponents, vertex 0 most significant, each digit
+_key_bits(e) bits wide for a graph with e edges (_key_codec converts).  No
+exponent exceeds e, so keys sort as the exponent tuples do, and
+multiplying by x_v adds _places(...)[v].  Tuples appear only in public
+results.
 """
 
 from __future__ import annotations
 
+import struct
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-from operator import ge, lshift
-from typing import Mapping, Optional, Sequence
+from operator import ge
+from typing import Callable, Mapping, Optional, Sequence
 
 from .errors import CapExceededError, GraphConstructionError, StrataError
 from .graphs import (
@@ -110,29 +118,61 @@ class IndegPolynomial:
         return out
 
 
-def _times_edge(terms: dict[tuple[int, ...], int], u: int, v: int) -> dict[tuple[int, ...], int]:
-    """A term map (exponent -> coefficient) times (x_u + x_v): each term
-    adds its coefficient at its exponent bumped at head v, then at head u."""
-    out: dict[tuple[int, ...], int] = {}
-    for expo, coeff in terms.items():
-        for head in (v, u):
-            bumped = expo[:head] + (expo[head] + 1,) + expo[head + 1:]
-            out[bumped] = out.get(bumped, 0) + coeff
+def _key_bits(n_edges: int) -> int:
+    """Digit width of the exponent keys of a graph with n_edges edges: the
+    fewest of 8, 16, 32 and 64 bits that hold n_edges, so that a digit is
+    one unsigned struct field."""
+    return next(bits for bits in (8, 16, 32, 64) if n_edges >> bits == 0)
+
+
+def _places(n: int, bits: int) -> list[int]:
+    """place[v]: the key of x_v among n vertices, 2^(bits (n-1-v))."""
+    return [1 << bits * (n - 1 - v) for v in range(n)]
+
+
+def _key_codec(
+    n: int, bits: int
+) -> tuple[Callable[[Sequence[int]], int], Callable[[int], tuple[int, ...]]]:
+    """The encode/decode pair of the exponent keys of n vertices with
+    bits-bit digits: values -> key, and key -> values.  Encoding raises
+    struct.error on a value that has no digit."""
+    layout = struct.Struct(f">{n}{'BHIQ'[bits.bit_length() - 4]}")
+    pack, unpack, size = layout.pack, layout.unpack, layout.size
+    return (
+        lambda values: int.from_bytes(pack(*values), "big"),
+        lambda key: unpack(key.to_bytes(size, "big")),
+    )
+
+
+def _times_edge(terms: dict[int, int], pu: int, pv: int) -> dict[int, int]:
+    """A term map (exponent key -> coefficient) times (x_u + x_v), with
+    pu, pv the places of u and v: each term adds its coefficient at its
+    key plus pv, then plus pu."""
+    out: dict[int, int] = {}
+    get = out.get
+    for key, coeff in terms.items():
+        bumped = key + pv
+        out[bumped] = get(bumped, 0) + coeff
+        bumped = key + pu
+        out[bumped] = get(bumped, 0) + coeff
     return out
 
 
 @lru_cache(maxsize=512)
-def _bpoly_terms(g: Multigraph) -> dict[tuple[int, ...], int]:
-    terms = {(0,) * g.n_vertices: 1}
+def _bpoly_terms(g: Multigraph) -> dict[int, int]:
+    place = _places(g.n_vertices, _key_bits(g.n_edges))
+    terms = {0: 1}
     for u, v in reversed(g.edges):
-        terms = _times_edge(terms, u, v)
+        terms = _times_edge(terms, place[u], place[v])
     return terms
 
 
 def b_polynomial(g: Multigraph, max_edges: int = DEFAULT_MAX_EDGES) -> IndegPolynomial:
     """Expanded product over edges [u, v] of (x_u + x_v), as a term map."""
     ensure_cap(g.n_edges, max_edges, "b_polynomial")
-    return IndegPolynomial(g.vertices, g.n_edges, dict(_bpoly_terms(g)))
+    _, decode = _key_codec(g.n_vertices, _key_bits(g.n_edges))
+    terms = {decode(key): coeff for key, coeff in _bpoly_terms(g).items()}
+    return IndegPolynomial(g.vertices, g.n_edges, terms)
 
 
 def enumerate_indegree(g: Multigraph, max_edges: int = DEFAULT_MAX_EDGES) -> list[Divisor]:
@@ -144,7 +184,9 @@ def multiplicity(g: Multigraph, d: Divisor) -> int:
     """Number of orientations of g with indegree divisor d (0 if none)."""
     if not _degree_precheck(g, d):
         return 0
-    return _bpoly_terms(g).get(d.values, 0)
+    # every value is at most the degree, the edge count, so it has a digit
+    encode, _ = _key_codec(g.n_vertices, _key_bits(g.n_edges))
+    return _bpoly_terms(g).get(encode(d.values), 0)
 
 
 # ---------------------------------------------------------------------------
@@ -242,8 +284,8 @@ def _component_tables(g: Multigraph) -> list[tuple[list[int], list[int]]]:
         to_lower = [[0] * (k + 1) for k in range(len(members))]
         for u, v in g.edges:
             if u in pos:
-                lo, hi = sorted((pos[u], pos[v]))
-                to_lower[hi][lo] += 1
+                # u <= v, and pos keeps the order of the sorted members
+                to_lower[pos[v]][pos[u]] += 1
         inside = [0]
         for row in to_lower:
             inside += [t + a + row[-1] for t, a in zip(inside, _subset_sums(row[:-1]))]
@@ -260,31 +302,39 @@ def _inequalities_hold(values: Sequence[int], tables) -> bool:
     return True
 
 
-def _interior_flags(expos: Sequence[Sequence[int]], bound: int, tables) -> list[bool]:
-    """For each exponent (entries >= 0), whether D(S) > #edges inside S
-    for every nonempty proper subset S of every component of tables: the
-    interior test, for all exponents at once.  bound is at least the edge
-    count and every exponent's sum.
+def _interior_flags(keys: Sequence[int], n: int, bits: int, tables) -> list[bool]:
+    """For each exponent key (n digits of bits bits, _key_codec), whether
+    D(S) > #edges inside S for every nonempty proper subset S of every
+    component of tables: the interior test, for all exponents at once.
+    Every edge count and every exponent's sum is below 2^bits.
 
-    Exponent j takes lane j, bits [w j, w j + w), of one int, with
-    w = bound.bit_length() + 1 and guard bit g = 2^(w-1) > bound.  Adding
-    one column per vertex over subsets puts D(S) in every lane; adding
-    g - 1 - inside[S] to each lane gives D(S) - inside[S] - 1 + g, in
-    [g - 1 - bound, g - 1 + bound], inside [0, 2^w).  So no lane borrows
-    from or carries into the next, and the guard bit is set exactly when
-    D(S) > inside[S]; ANDing over every S keeps it for interior exponents."""
-    w = bound.bit_length() + 1
-    shifts = range(0, w * len(expos), w)
-    ones = sum(1 << s for s in shifts)
-    guard = 1 << (w - 1)
+    Key j's digit v goes to lane j, bits [w j, w j + w) with w = 2 bits,
+    of column v: the keys' bytes, one string for all keys, are transposed
+    by slicing.  Adding columns over subsets puts D(S) in every lane; with
+    the guard bit g = 2^(w-1), adding g - 1 - inside[S] to each lane gives
+    D(S) - inside[S] - 1 + g, in [g - 2^bits, g - 1 + 2^bits), inside
+    [0, 2^w).  So no lane borrows from or carries into the next, and the
+    guard bit is set exactly when D(S) > inside[S]; ANDing over every S
+    keeps it for interior exponents."""
+    size = bits // 8
+    raw = b"".join([k.to_bytes(n * size, "big") for k in keys])
+    lane = bytearray(2 * size * len(keys))
+
+    def column(v: int) -> int:
+        # lane bytes are little-endian, the key's digit bytes big-endian
+        for t in range(size):
+            lane[t::2 * size] = raw[(v + 1) * size - 1 - t::n * size]
+        return int.from_bytes(lane, "little")
+
+    ones = int.from_bytes(b"\x01".ljust(2 * size, b"\x00") * len(keys), "little")
+    guard = 1 << (2 * bits - 1)
     flags = guard * ones
-    columns = [sum(map(lshift, column, shifts)) for column in zip(*expos)]
     for members, inside in tables:
-        sums = _subset_sums([columns[v] for v in members])
+        sums = _subset_sums([column(v) for v in members])
         for total, count in zip(sums[1:-1], inside[1:-1]):
             flags &= total + (guard - 1 - count) * ones
-    bits = format(flags, f"0{w * len(expos)}b")[::-1]
-    return [bit == "1" for bit in bits[w - 1::w]]
+    lanes = (flags >> 2 * bits - 1).to_bytes(2 * size * len(keys), "little")
+    return list(map(bool, lanes[::2 * size]))
 
 
 def _inequality_tables(g: Multigraph) -> list[tuple[list[int], list[int]]]:

@@ -13,26 +13,28 @@ is a product of p nodes and a disk, so its neighbourhood carries exactly
 3^p local strata.
 
 One walk over an edge-subset lattice (_walk) serves four builders.  In
-bitmask order it builds the term map (exponent -> coefficient) of x^D
-times the product of (x_u + x_v) over a subset from the map of the
-subset without its lowest edge, by the step b_polynomial also folds.
+bitmask order it builds the term map of x^D times the product of
+(x_u + x_v) over a subset from the map of the subset without its lowest
+edge, by the step b_polynomial also folds.  A term map sends an exponent
+key, one integer whose digits are the exponents (indegree._key_codec), to
+its coefficient, and adding an edge adds the key of its head.
 enumerate_strata, _table_rows and _hasse_table walk all edges from
-D = 0.  _hasse_table keys each (bitmask, divisor) pair by one integer,
-the digits of the bitmask and the divisor in radix e+1, so a cover is the
-lower key plus a fixed offset per (edge, head) and costs one lookup.
-_local_rows walks the edges outside a stratum from its divisor, so its
-coefficients are relative multiplicities.  Both return integer rows,
-(bitmask, divisor values[, multiplicity]): hasse_diagram and local_model
-build their labels from them, and the CLI renders its Hasse exports
-(hasse_dot_lines for DOT) and local censuses straight from the rows, as
-streams, with no label per element.  _table_rows does each subgraph's
-work once: the dimension check, the component tables and the interior
-flags (strict subset inequalities) of all its divisors in one
-bit-parallel pass, which give each stratum's class.  It yields each
-subgraph's (divisor values, class, multiplicity) rows; cr_strata keeps
-the completely reducible ones, stratum_rows builds its dicts from them,
-and strata_csv and the CLI's strata enumerate render them as text
-streams, one %-template per subgraph.
+D = 0.  _hasse_table keys each (bitmask, divisor) pair by the walk's key
+with the bitmask above it, so a cover is the lower key plus a fixed
+offset per (edge, head) and costs one lookup.  _local_rows walks the
+edges outside a stratum from its divisor, so its coefficients are
+relative multiplicities.  All return integer rows, (bitmask, key[,
+multiplicity]): hasse_diagram and local_model build their labels from
+them, and the CLI renders its Hasse exports (hasse_dot_lines for DOT) and
+local censuses straight from the rows, as streams, with no label per
+element.  _table_rows does each subgraph's work once: the dimension
+check, the component tables and the interior flags (strict subset
+inequalities) of all its divisors in one bit-parallel pass, which give
+each stratum's class.  It yields each subgraph's sorted keys, their flags
+and its term map (the multiplicities); cr_strata keeps the interior keys
+as labels, stratum_rows builds its dicts from them, and strata_csv and
+the CLI's strata enumerate and strata cr render them as text streams,
+one %-template per subgraph.  Keys become divisor values only there.
 irreducible_components reads b_polynomial, as its top row is one chain of
 e steps.  No flow search runs on these labels; labels from a caller are
 checked by max flow (_validate_stratum).
@@ -44,9 +46,9 @@ import io
 import csv as _csv
 import json
 from dataclasses import dataclass
-from itertools import groupby
+from itertools import compress, groupby
 from math import factorial
-from operator import itemgetter, mul
+from operator import itemgetter
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import StrataError
@@ -55,20 +57,27 @@ from .graphs import (
     Divisor,
     Multigraph,
     Subgraph,
+    _subgraphs,
     ensure_cap,
-    generating_subgraphs,
 )
 from .indegree import (
     DivisorClass,
     DivisorTag,
     _component_tables,
     _interior_flags,
+    _key_bits,
+    _key_codec,
+    _places,
     _times_edge,
     classify,
     enumerate_indegree,
     is_indegree,
     relative_multiplicity,
 )
+
+
+#: The class of a stratum of _table_rows by its interior flag.
+_CLASS = (DivisorTag.REDUCIBLE_NOT_CR.value, DivisorTag.COMPLETELY_REDUCIBLE.value)
 
 
 @dataclass(frozen=True)
@@ -155,11 +164,14 @@ def _dimension(c: CurveShape, n_edges: int) -> int:
     return dim
 
 
-def _walk(g: Multigraph, edges: Sequence[int], base: tuple[int, ...]) -> Iterator[dict]:
+def _walk(g: Multigraph, edges: Sequence[int], base: int) -> Iterator[dict]:
     """For each mask over the positions in edges, ascending: the term map
-    (exponent -> coefficient) of x^base times (x_u + x_v) over the masked
-    edges, built from the map at mask ^ lowbit(mask) with only the chain
-    of parents in memory."""
+    (exponent key -> coefficient, digits _key_bits(g.n_edges) wide) of x^D
+    times (x_u + x_v) over the masked edges, where base is the key of D.
+    Every exponent reached must fit a digit; here it is at most the edge
+    count of g.  Each map is built from the map at mask ^ lowbit(mask)
+    with only the chain of parents in memory."""
+    place = _places(g.n_vertices, _key_bits(g.n_edges))
     chain: list[tuple[int, dict]] = [(0, {base: 1})]
     for mask in range(1 << len(edges)):
         if mask:
@@ -167,23 +179,27 @@ def _walk(g: Multigraph, edges: Sequence[int], base: tuple[int, ...]) -> Iterato
             while chain[-1][0] != mask ^ low:
                 chain.pop()
             u, v = g.edges[edges[low.bit_length() - 1]]
-            chain.append((mask, _times_edge(chain[-1][1], u, v)))
+            chain.append((mask, _times_edge(chain[-1][1], place[u], place[v])))
         yield chain[-1][1]
 
 
 def _full_walk(g: Multigraph, max_edges: int) -> Iterator[tuple[Subgraph, dict]]:
     """(subgraph, term map) for every generating subgraph, by bitmask."""
-    subgraphs = generating_subgraphs(g, max_edges)
-    return zip(subgraphs, _walk(g, range(g.n_edges), (0,) * g.n_vertices))
+    return zip(_subgraphs(g, max_edges), _walk(g, range(g.n_edges), 0))
+
+
+def _decoder(g: Multigraph):
+    """key -> divisor values, for the exponent keys of g."""
+    return _key_codec(g.n_vertices, _key_bits(g.n_edges))[1]
 
 
 def enumerate_strata(c: CurveShape, max_edges: int = DEFAULT_MAX_EDGES) -> list[StratumLabel]:
     """All non-empty strata, ordered by subgraph bitmask then divisor."""
-    vertices = c.dual_graph.vertices
+    vertices, decode = c.dual_graph.vertices, _decoder(c.dual_graph)
     return [
-        StratumLabel(sub, Divisor(vertices, expo))
+        StratumLabel(sub, Divisor(vertices, decode(key)))
         for sub, terms in _full_walk(c.dual_graph, max_edges)
-        for expo in sorted(terms)
+        for key in sorted(terms)
     ]
 
 
@@ -213,9 +229,9 @@ def adjacency_multiplicity(c: CurveShape, s1: StratumLabel, s2: StratumLabel) ->
 
 def _local_rows(
     c: CurveShape, s2: StratumLabel, max_edges: int
-) -> tuple[int, int, list[tuple[int, tuple[int, ...], int]]]:
-    """p, q and the local census around s2 as rows (edge bitmask, divisor
-    values, multiplicity), ordered by (bitmask, divisor).  The rows are the
+) -> tuple[int, int, list[tuple[int, int, int]]]:
+    """p, q and the local census around s2 as rows (edge bitmask, exponent
+    key, multiplicity), ordered by (bitmask, divisor).  The rows are the
     walk over the p edges outside s2 from the divisor of s2: each
     coefficient is a relative multiplicity along s2."""
     _validate_stratum(c, s2)
@@ -225,12 +241,13 @@ def _local_rows(
     base = s2.subgraph.bitmask
     rest = [i for i in range(g.n_edges) if not base >> i & 1]
     ensure_cap(len(rest), max_edges, "local_model")
-    rows: list[tuple[int, tuple[int, ...], int]] = []
+    encode, _ = _key_codec(g.n_vertices, _key_bits(g.n_edges))
+    rows: list[tuple[int, int, int]] = []
     # ascending masks over the rest bits give ascending full bitmasks, so
     # the rows come out in canonical order without re-sorting
-    for mask, terms in enumerate(_walk(g, rest, s2.divisor.values)):
+    for mask, terms in enumerate(_walk(g, rest, encode(s2.divisor.values))):
         full = base | sum(1 << e for i, e in enumerate(rest) if mask >> i & 1)
-        rows += [(full, expo, terms[expo]) for expo in sorted(terms)]
+        rows += [(full, key, terms[key]) for key in sorted(terms)]
     total = sum(row[2] for row in rows)
     if total != 3 ** p:
         raise AssertionError(f"local census sums to {total}, expected 3^{p}")
@@ -238,12 +255,13 @@ def _local_rows(
 
 
 def _labelled(g: Multigraph, rows: Iterable[tuple]) -> Iterator[tuple[StratumLabel, tuple]]:
-    """(label, row) for rows (edge bitmask, divisor values, ...) in
-    bitmask order, with one Subgraph per bitmask."""
+    """(label, row) for rows (edge bitmask, exponent key, ...) in bitmask
+    order, with one Subgraph per bitmask."""
+    decode = _decoder(g)
     for mask, group in groupby(rows, itemgetter(0)):
         sub = Subgraph(g, frozenset(i for i in range(g.n_edges) if mask >> i & 1))
         for row in group:
-            yield StratumLabel(sub, Divisor(g.vertices, row[1])), row
+            yield StratumLabel(sub, Divisor(g.vertices, decode(row[1]))), row
 
 
 def local_model(c: CurveShape, s2: StratumLabel, max_edges: int = DEFAULT_MAX_EDGES) -> LocalModel:
@@ -265,40 +283,40 @@ def irreducible_components(c: CurveShape, max_edges: int = DEFAULT_MAX_EDGES) ->
 
 def _hasse_table(
     g: Multigraph, max_edges: int
-) -> tuple[list[tuple[int, tuple[int, ...]]], Iterator[tuple[int, int]]]:
+) -> tuple[list[tuple[int, int]], Iterator[tuple[int, int]]]:
     """The Hasse diagram of a loopless graph as integer rows: its elements
-    as (edge bitmask, divisor values) in (bitmask, divisor) order, and an
+    as (edge bitmask, exponent key) in (bitmask, divisor) order, and an
     iterator over its covers as index pairs (lower, upper) in index order.
 
-    A pair (mask, exponent) is keyed by the integer whose digits in radix
-    e+1 are mask, then exponent[0], ..., exponent[n-1] (no exponent
-    exceeds e), so keys ascend in element order.  Adding edge i with head
-    h adds 2^i (e+1)^n + (e+1)^(n-1-h) to the key: the covers of a pair
-    are one lookup each of its key plus its subgraph's offsets, and with
-    the offsets sorted they come out in index order."""
+    A pair (mask, key) is keyed by mask shifted above the key's n digits,
+    so keys ascend in element order.  Adding edge i with head h adds
+    2^i shifted the same way plus the key of x_h: the covers of a pair are
+    one lookup each of its key plus its subgraph's offsets, and with the
+    offsets sorted they come out in index order."""
     if any(u == v for u, v in g.edges):
         raise StrataError("hasse_diagram requires a loopless graph")
-    e, n = g.n_edges, g.n_vertices
-    place = [(e + 1) ** (n - 1 - v) for v in range(n)]
-    high = (e + 1) ** n
-    elements: list[tuple[int, tuple[int, ...]]] = []
+    bits = _key_bits(g.n_edges)
+    width = g.n_vertices * bits
+    place = _places(g.n_vertices, bits)
+    elements: list[tuple[int, int]] = []
     index: dict[int, int] = {}
-    # per element: its key and its subgraph's sorted offsets (one list
-    # shared by the subgraph's elements)
-    keyed: list[tuple[int, list[int]]] = []
+    # per subgraph bitmask: the sorted offsets of its covers
+    offsets: list[list[int]] = []
     for mask, (_, terms) in enumerate(_full_walk(g, max_edges)):
-        offsets = sorted(
-            (high << i) + place[head]
+        offsets.append(sorted(
+            (1 << i + width) + place[head]
             for i, (u, v) in enumerate(g.edges)
             if not mask >> i & 1
             for head in (u, v)
-        )
-        for expo in sorted(terms):
-            key = mask * high + sum(map(mul, expo, place))
-            index[key] = len(elements)
-            keyed.append((key, offsets))
-            elements.append((mask, expo))
-    covers = ((i, index[key + d]) for i, (key, offsets) in enumerate(keyed) for d in offsets)
+        ))
+        for key in sorted(terms):
+            index[mask << width | key] = len(elements)
+            elements.append((mask, key))
+    covers = (
+        (i, index[(mask << width | key) + d])
+        for i, (mask, key) in enumerate(elements)
+        for d in offsets[mask]
+    )
     return elements, covers
 
 
@@ -342,15 +360,13 @@ def cr_strata(c: CurveShape, max_edges: int = DEFAULT_MAX_EDGES) -> list[Stratum
     """Strata whose divisor is completely reducible.  This single index
     set simultaneously labels the completely reducible locus of the
     isospectral variety and the canonical compactified-Jacobian
-    stratification.  They are the rows of _table_rows of class
-    completely_reducible, in table order."""
-    vertices = c.dual_graph.vertices
-    cr = DivisorTag.COMPLETELY_REDUCIBLE.value
+    stratification.  They are the interior strata of _table_rows, in
+    table order."""
+    vertices, decode = c.dual_graph.vertices, _decoder(c.dual_graph)
     return [
-        StratumLabel(sub, Divisor(vertices, values))
-        for sub, _, strata in _table_rows(c, max_edges)
-        for values, cls, _ in strata
-        if cls == cr
+        StratumLabel(sub, Divisor(vertices, decode(key)))
+        for sub, _, keys, flags, _ in _table_rows(c, max_edges)
+        for key in compress(keys, flags)
     ]
 
 
@@ -364,22 +380,23 @@ def stratum_class(c: CurveShape, s: StratumLabel) -> DivisorClass:
 
 def _table_rows(
     c: CurveShape, max_edges: int
-) -> Iterator[tuple[Subgraph, int, list[tuple[tuple[int, ...], str, int]]]]:
+) -> Iterator[tuple[Subgraph, int, list[int], list[bool], dict[int, int]]]:
     """Per generating subgraph, by bitmask: the subgraph, its stratum
-    dimension (checked) and its strata as (divisor values, class,
-    multiplicity of the divisor on the subgraph) in divisor order, read
-    off the walk's coefficients.  A divisor is completely reducible
-    exactly when it is interior, and the interior flags of all the
-    subgraph's divisors come from one pass of _interior_flags.  The first
-    subgraph is the empty one, of the lowest dimension, so taking it
-    raises the cap and dimension errors."""
-    cr, not_cr = DivisorTag.COMPLETELY_REDUCIBLE.value, DivisorTag.REDUCIBLE_NOT_CR.value
-    for sub, terms in _full_walk(c.dual_graph, max_edges):
+    dimension (checked), the exponent keys of its strata in divisor order,
+    their interior flags and the walk's term map, which gives each key's
+    multiplicity on the subgraph.  A divisor is completely reducible
+    exactly when it is interior (its class is _CLASS[flag]), and the
+    flags of all the subgraph's divisors come from one pass of
+    _interior_flags over their keys.  The first subgraph is the empty one,
+    of the lowest dimension, so taking it raises the cap and dimension
+    errors."""
+    g = c.dual_graph
+    n, bits = g.n_vertices, _key_bits(g.n_edges)
+    for sub, terms in _full_walk(g, max_edges):
         dim = _dimension(c, sub.n_edges)
-        graph = sub.as_multigraph()
-        expos = sorted(terms)
-        flags = _interior_flags(expos, graph.n_edges, _component_tables(graph))
-        yield sub, dim, [(x, cr if f else not_cr, terms[x]) for x, f in zip(expos, flags)]
+        keys = sorted(terms)
+        flags = _interior_flags(keys, n, bits, _component_tables(sub.as_multigraph()))
+        yield sub, dim, keys, flags, terms
 
 
 def _divisor_template(vertices: Sequence[str], item_sep: str = ", ", key_sep: str = ": ") -> str:
@@ -390,53 +407,54 @@ def _divisor_template(vertices: Sequence[str], item_sep: str = ", ", key_sep: st
     return "{" + item_sep.join(items) + "}"
 
 
-def _stratum_lines(table: Iterable[tuple], template_of) -> Iterator[str]:
-    """One text per stratum of the _table_rows table: template_of(sub,
-    dim) is a %-template per subgraph, filled with the stratum's (id,
-    divisor values..., class, multiplicity)."""
+def _stratum_lines(g: Multigraph, table: Iterable[tuple], template_of) -> Iterator[str]:
+    """One text per stratum of the _table_rows table of a shape on g:
+    template_of(sub, dim) is a %-template per subgraph, filled with the
+    stratum's (id, divisor values..., class, multiplicity)."""
+    decode = _decoder(g)
     i = 0
-    for sub, dim, strata in table:
+    for sub, dim, keys, flags, terms in table:
         template = template_of(sub, dim)
-        for values, cls, mult in strata:
-            yield template % (i, *values, cls, mult)
+        for key, flag in zip(keys, flags):
+            yield template % (i, *decode(key), _CLASS[flag], terms[key])
             i += 1
 
 
 def stratum_rows(c: CurveShape, max_edges: int = DEFAULT_MAX_EDGES) -> list[dict]:
     """Table rows for every stratum: id, edge bitmask, divisor, dimension,
     class, multiplicity (of the divisor on its subgraph)."""
-    vertices = c.dual_graph.vertices
+    vertices, decode = c.dual_graph.vertices, _decoder(c.dual_graph)
     rows = []
-    for sub, dim, strata in _table_rows(c, max_edges):
-        for values, cls, mult in strata:
+    for sub, dim, keys, flags, terms in _table_rows(c, max_edges):
+        for key, flag in zip(keys, flags):
             rows.append(
                 {
                     "id": len(rows),
                     "edge_bitmask": sub.bitmask,
                     "subgraph_edges": list(sub.edge_list()),
-                    "divisor": dict(zip(vertices, values)),
+                    "divisor": dict(zip(vertices, decode(key))),
                     "dimension": dim,
-                    "class": cls,
-                    "multiplicity": mult,
+                    "class": _CLASS[flag],
+                    "multiplicity": terms[key],
                 }
             )
     return rows
 
 
-def _csv_lines(vertices: Sequence[str], table: Iterable[tuple]) -> Iterator[str]:
-    """The lines of strata_csv's text from the _table_rows table.  The
-    divisor cell is the json.dumps text of the divisor, quoted as the csv
-    module quotes it; filling in digits neither needs quoting nor changes
-    it, so the template is quoted once."""
+def _csv_lines(g: Multigraph, table: Iterable[tuple]) -> Iterator[str]:
+    """The lines of strata_csv's text from the _table_rows table of a
+    shape on g.  The divisor cell is the json.dumps text of the divisor,
+    quoted as the csv module quotes it; filling in digits neither needs
+    quoting nor changes it, so the template is quoted once."""
     buf = io.StringIO()
-    _csv.writer(buf, lineterminator="\n").writerow([_divisor_template(vertices)])
+    _csv.writer(buf, lineterminator="\n").writerow([_divisor_template(g.vertices)])
     divisor = buf.getvalue()[:-1]
     yield "id,edge_bitmask,divisor,dimension,class,multiplicity\n"
-    yield from _stratum_lines(table, lambda sub, dim: f"%d,{sub.bitmask},{divisor},{dim},%s,%d\n")
+    yield from _stratum_lines(g, table, lambda sub, dim: f"%d,{sub.bitmask},{divisor},{dim},%s,%d\n")
 
 
 def strata_csv(c: CurveShape, max_edges: int = DEFAULT_MAX_EDGES) -> str:
-    return "".join(_csv_lines(c.dual_graph.vertices, _table_rows(c, max_edges)))
+    return "".join(_csv_lines(c.dual_graph, _table_rows(c, max_edges)))
 
 
 def stratum_report_json_obj(c: CurveShape, s: StratumLabel, max_edges: int = DEFAULT_MAX_EDGES) -> dict:

@@ -36,6 +36,8 @@ from .indegree import (
     _inequalities_hold,
     _inequality_tables,
     _interior_flags,
+    _key_bits,
+    _key_codec,
     classify,
     enumerate_indegree,
     multiplicity,
@@ -115,11 +117,12 @@ def zonotope_vertices(g: Multigraph, max_edges: int = DEFAULT_MAX_EDGES) -> list
             loops[u] += 1
     loopless = Multigraph(g.vertices, tuple((u, v) for u, v in g.edges if u != v))
     terms = _bpoly_terms(loopless)
+    _, decode = _key_codec(g.n_vertices, _key_bits(loopless.n_edges))
     # adding the same vector to every exponent keeps their lex order
     return [
-        Divisor(g.vertices, tuple(x + k for x, k in zip(expo, loops)))
-        for expo in sorted(terms)
-        if terms[expo] == 1
+        Divisor(g.vertices, tuple(x + k for x, k in zip(decode(key), loops)))
+        for key in sorted(terms)
+        if terms[key] == 1
     ]
 
 
@@ -182,7 +185,10 @@ def lattice_csv(g: Multigraph, max_edges: int = DEFAULT_MAX_EDGES) -> str:
     multiplicity, is_vertex, is_interior."""
     points = lattice_points(g, max_edges)
     verts = set(d.values for d in zonotope_vertices(g, max_edges))
-    interior = _interior_flags([d.values for d in points], g.n_edges, _component_tables(g))
+    bits = _key_bits(g.n_edges)
+    encode, _ = _key_codec(g.n_vertices, bits)
+    keys = [encode(d.values) for d in points]
+    interior = _interior_flags(keys, g.n_vertices, bits, _component_tables(g))
     buf = io.StringIO()
     writer = _csv.writer(buf, lineterminator="\n")
     writer.writerow(list(g.vertices) + ["multiplicity", "is_vertex", "is_interior"])

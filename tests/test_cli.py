@@ -433,6 +433,36 @@ class TestStreamedOutputIsTheLibraryText:
             shape_obj = {"shape": {"graph": graph_to_json_obj(g), "m": m, "n": 2}}
             self.assert_enumerate(CurveShape(g, m, 2), [json.dumps(shape_obj)])
 
+    @pytest.mark.parametrize("chunk", [1, 4096])
+    def test_cr_lines(self, monkeypatch, chunk):
+        from spectral_strata import classification_to_json_obj, cli, cr_strata
+        from spectral_strata.cli import _lines_shape
+
+        monkeypatch.setattr(cli, "DOT_CHUNK_LINES", chunk)
+        for lines in (1, 2, 3, 4, 5):
+            labels = cr_strata(_lines_shape(lines))
+            text = cli._dumps([classification_to_json_obj(s) for s in labels]) + "\n"
+            result = run("strata", "cr", "--lines", str(lines))
+            assert result.exit_code == 0, result.output
+            assert result.stdout_bytes == text.encode()
+        # a rejected shape prints nothing, even one piece per chunk
+        result = run("strata", "cr", json.dumps({"shape": {"graph": K3_GRAPH, "m": 1, "n": 2}}))
+        assert result.exit_code == 2
+        assert result.stdout_bytes == b""
+
+    def test_cr_builds_no_label(self, monkeypatch):
+        # strata cr streams the table's rows; a StratumLabel per row would
+        # be the list that cr_strata builds for library callers
+        from spectral_strata import strata
+
+        def no_label(self):
+            raise AssertionError("StratumLabel built for a row of strata cr")
+
+        monkeypatch.setattr(strata.StratumLabel, "__post_init__", no_label)
+        result = run("strata", "cr", "--lines", "4")
+        assert result.exit_code == 0, result.output
+        assert len(json.loads(result.output)) == 26
+
     @pytest.mark.parametrize("lines", [1, 2, 3])
     def test_local_every_stratum(self, lines):
         from spectral_strata import enumerate_strata
@@ -874,6 +904,41 @@ class TestCliContract:
         assert json.loads(run_ok("strata", "local", json.dumps(payload)))["p"] == 0
         payload = {"lines": 6, "stratum": {"subgraph": [15], "divisor": {}}}
         assert run("strata", "local", json.dumps(payload)).exit_code == 2
+
+    def test_local_stratum_checked_before_building_k_n(self, monkeypatch):
+        # a malformed stratum on {"lines": N} is rejected from N alone, with
+        # the message it got once K_N was built
+        from spectral_strata import cli
+
+        def capped_complete_graph(n):
+            assert n * (n - 1) // 2 <= 20, f"K_{n} built before the stratum check"
+            return complete_graph(n)
+
+        monkeypatch.setattr(cli, "complete_graph", capped_complete_graph)
+        cases = (
+            (None, "StrataError", "stratum must be an object"),
+            ({"subgraph": []}, "StrataError", "stratum JSON needs 'subgraph' (edge indices) and 'divisor'"),
+            (
+                {"subgraph": [0, True], "divisor": {}},
+                "StrataError",
+                "stratum 'subgraph' must be a list of integer edge indices",
+            ),
+            (
+                {"subgraph": [2000000], "divisor": {}},
+                "GraphConstructionError",
+                "edge_set contains an unknown edge index",
+            ),
+            ({"subgraph": [-1], "divisor": {}}, "GraphConstructionError", "edge_set contains an unknown edge index"),
+        )
+        for stratum, kind, message in cases:
+            payload = {"lines": 1500} if stratum is None else {"lines": 1500, "stratum": stratum}
+            result = run("strata", "local", json.dumps(payload))
+            assert result.exit_code == 2
+            err = json.loads(result.output.strip().splitlines()[-1])
+            assert err["error"] == {"type": kind, "message": message}
+        # the index check counts K_N's edges: index 14 is K6's last edge
+        payload = {"lines": 6, "stratum": {"subgraph": [14], "divisor": {"v6": 1}}}
+        assert json.loads(run_ok("strata", "local", json.dumps(payload)))["p"] == 14
 
     def test_max_edges_env(self):
         five_parallel = {

@@ -504,5 +504,50 @@ class TestSubsetInequalityTables:
         g, d = case
         tables = indegree._component_tables(g)
         assert indegree._subset_inequalities_ok(g, d) == self.brute(g, d.values, False)
-        bound = max(g.n_edges, d.degree)
-        assert indegree._interior_flags([d.values], bound, tables) == [self.brute(g, d.values, True)]
+        bits = indegree._key_bits(max(g.n_edges, d.degree))
+        encode, _ = indegree._key_codec(g.n_vertices, bits)
+        flags = indegree._interior_flags([encode(d.values)], g.n_vertices, bits, tables)
+        assert flags == [self.brute(g, d.values, True)]
+
+
+class TestExponentKeys:
+    """The packed exponent keys at digit widths past one byte."""
+
+    @pytest.mark.parametrize("n_edges", [0, 1, 15, 255, 256, 301, 70000])
+    def test_round_trip_and_order(self, n_edges):
+        from spectral_strata import indegree
+
+        rng = random.Random(n_edges)
+        bits = indegree._key_bits(n_edges)
+        assert n_edges < 1 << bits
+        for n in (1, 2, 5):
+            encode, decode = indegree._key_codec(n, bits)
+            expos = [tuple(rng.choice([0, n_edges, rng.randint(0, n_edges)]) for _ in range(n)) for _ in range(60)]
+            expos += [(0,) * n, (n_edges,) * n]
+            keys = [encode(x) for x in expos]
+            assert [decode(k) for k in keys] == expos
+            assert [decode(k) for k in sorted(keys)] == sorted(expos)
+            if n_edges > 255:
+                assert any(x > 255 for expo in expos for x in expo)
+
+    def test_three_hundred_parallel_edges_and_a_loop(self):
+        # exponent 301 needs a digit wider than a byte
+        from math import comb
+
+        from spectral_strata import lattice_csv, zonotope_vertices
+        from spectral_strata.indegree import _interior_by_inequalities
+
+        g = Multigraph(("a", "b"), ((0, 1),) * 300 + ((1, 1),))
+        e = g.n_edges
+        assert b_polynomial(g, max_edges=e).terms == {(k, e - k): 2 * comb(300, k) for k in range(301)}
+        for values in ((0, 301), (150, 151), (300, 1)):
+            assert multiplicity(g, Divisor(g.vertices, values)) == 2 * comb(300, values[0])
+        assert multiplicity(g, Divisor(g.vertices, (301, 0))) == 0
+        assert [d.values for d in zonotope_vertices(g, max_edges=e)] == [(0, 301), (300, 1)]
+        rows = lattice_csv(g, max_edges=e).splitlines()[1:]
+        assert len(rows) == 301
+        for row in rows:
+            a, b, _, _, flag = row.split(",")
+            interior = _interior_by_inequalities(g, Divisor(g.vertices, (int(a), int(b))))
+            assert flag == str(interior).lower()
+        assert {row.split(",")[-1] for row in rows} == {"true", "false"}

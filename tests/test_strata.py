@@ -41,6 +41,8 @@ from spectral_strata.indegree import (
     _component_tables,
     _interior_by_inequalities,
     _interior_flags,
+    _key_bits,
+    _key_codec,
     _totally_cyclic,
 )
 from spectral_strata.strata import _full_walk, _walk
@@ -425,9 +427,10 @@ def hasse_by_labels(g):
 def tuple_keyed_covers(g):
     """Covers by the construction that keys each stratum by the tuple
     (bitmask, exponent) and builds each target by slicing the exponent."""
+    _, decode = _key_codec(g.n_vertices, _key_bits(g.n_edges))
     index = {}
     for mask, (_, terms) in enumerate(_full_walk(g, g.n_edges)):
-        for expo in sorted(terms):
+        for expo in sorted(map(decode, terms)):
             index[mask, expo] = len(index)
     covers = []
     for (mask, expo), i in index.items():
@@ -617,7 +620,9 @@ class TestWalkAgainstOrientationSweep:
         return family
 
     def check(self, g, edges, base):
-        for mask, terms in enumerate(_walk(g, edges, base)):
+        encode, decode = _key_codec(g.n_vertices, _key_bits(g.n_edges))
+        for mask, keyed in enumerate(_walk(g, edges, encode(base))):
+            terms = {decode(key): coeff for key, coeff in keyed.items()}
             masked = [e for i, e in enumerate(edges) if mask >> i & 1]
             assert terms == sweep_terms(g, masked, base), (g, edges, base, mask)
 
@@ -655,10 +660,13 @@ class TestPerSubgraphKernels:
                 )
                 if present
             }
+            bits = _key_bits(g.n_edges)
+            _, decode = _key_codec(g.n_vertices, bits)
             for sub, terms in _full_walk(g, g.n_edges):
                 graph = sub.as_multigraph()
-                expos = sorted(terms)
-                flags = _interior_flags(expos, graph.n_edges, _component_tables(graph))
+                keys = sorted(terms)
+                expos = list(map(decode, keys))
+                flags = _interior_flags(keys, g.n_vertices, bits, _component_tables(graph))
                 for expo, flag in zip(expos, flags):
                     interior = _interior_by_inequalities(graph, Divisor(g.vertices, expo))
                     assert flag == interior, (g, sub.edge_list(), expo)
@@ -679,7 +687,9 @@ class TestPerSubgraphKernels:
             (0, e, 0), (e, 0, 0), (0, e, 0), (1, e - 1, 0), (e - 1, 1, 0),
             (e, 0, 0), (e // 2, e - e // 2, 0), (0, 0, e), (1, 2, e - 3), (e - 2, 2, 0),
         ]
-        flags = _interior_flags(expos, e, _component_tables(g))
+        bits = _key_bits(e)
+        encode, _ = _key_codec(g.n_vertices, bits)
+        flags = _interior_flags(list(map(encode, expos)), g.n_vertices, bits, _component_tables(g))
         oracle = [_interior_by_inequalities(g, Divisor(g.vertices, x)) for x in expos]
         assert flags == oracle
         assert any(oracle) and not all(oracle)
