@@ -42,6 +42,9 @@ The commands:
   * graph bpoly, zonotope points --format csv, zonotope vertices and
     strata components at --max-edges 301 on 300 parallel edges a-b plus a
     loop at b, whose exponent 301 needs more than a byte;
+  * zonotope points (plain, --count and --format csv) and zonotope
+    vertices (plain and --count) on 12 disjoint edges among 26 vertices,
+    past the 24 vertices of the subset-inequality test;
   * matpoly reducibility at n = 4..7: diagonal, upper triangular, cyclic
     and conjugated leading-diagonal polynomials;
   * sample at every 2- and 3-line stratum of several arrangements, with
@@ -50,7 +53,9 @@ The commands:
     its transpose;
   * matpoly charpoly, matpoly classify and sample on rationals outside
     the grammar -?[0-9]+(/[0-9]+)? (underscores, spaces, exponents,
-    decimals);
+    decimals) and on a 5,001-digit integer, which Fraction rejects;
+  * matpoly classify on a degree-two polynomial whose char poly is its
+    arrangement's product but whose divisor is no indegree divisor;
   * every command that takes an INPUT on files holding JSON that is no
     object (5, 1.5, true, null, "x"), matpoly classify with the file as
     --arrangement too;
@@ -101,6 +106,8 @@ COMMANDS = {
 }
 #: Strings that parse_rational rejects, and that Fraction accepts.
 NOT_RATIONAL = ("1_0", " 2 ", "1e4300", "0.5", "+3", "1/-2")
+#: A string of the grammar that Fraction rejects, past Python's 4,300 digits.
+LONG_RATIONAL = "7" * 5001
 #: JSON texts that are no object.
 SCALARS = ("5", "1.5", "true", "null", '"x"')
 
@@ -326,6 +333,14 @@ def first_commands(quick: bool) -> list[list[str]]:
         ["strata", "components", wide_shape],
     ):
         cmds.append(["--max-edges", "301", *argv])
+    disjoint = _graph(26, [(i, i + 1) for i in range(0, 24, 2)])
+    cmds += [
+        ["zonotope", "points", disjoint],
+        ["zonotope", "points", disjoint, "--count"],
+        ["zonotope", "points", disjoint, "--format", "csv"],
+        ["zonotope", "vertices", disjoint],
+        ["zonotope", "vertices", disjoint, "--count"],
+    ]
     shapes = [["--lines", str(n)] for n in range(1, 6)]
     for k, edges in itertools.chain(_multigraphs(12, loops=False), _multigraphs(12, loops=True)):
         shape = {"graph": json.loads(_graph(k, edges)), "m": max(len(edges), 1), "n": 2}
@@ -384,13 +399,16 @@ def first_commands(quick: bool) -> list[list[str]]:
             for params in param_sets:
                 cmds.append(["sample", json.dumps({**stratum, "params": params})])
 
-    for text in NOT_RATIONAL:
+    for text in (*NOT_RATIONAL, LONG_RATIONAL):
         cmds.append(["matpoly", "charpoly", json.dumps({"coeffs": [[[text]]]})])
         lines = json.dumps({"lines": [[text, "1"], ["0", "2"]]})
         cmds.append(["matpoly", "classify", json.dumps({"coeffs": [[["1"]]]}), "--arrangement", lines])
         stratum = {"lines": ARRANGEMENTS[0], "subgraph": [0], "divisor": {"v1": 0, "v2": 1}}
         cmds.append(["sample", json.dumps({**stratum, "params": [text]})])
     cmds.append(["matpoly", "charpoly", json.dumps({"coeffs": [[["1_0"]], [[" 2 "]]]})])
+    degree_two = {"coeffs": [[["0", "0"], ["0", "1"]], [["1", "0"], ["0", "2"]], [["0", "1"], ["0", "0"]]]}
+    lines = json.dumps({"lines": [["0", "1"], ["1", "2"]]})
+    cmds.append(["matpoly", "classify", json.dumps(degree_two), "--arrangement", lines])
     cmds.append(["--help"])
     for group, subcommands in COMMANDS.items():
         cmds.append([group, "--help"])

@@ -52,6 +52,13 @@ IPoly = tuple[int, ...]
 BivarTerms = dict[tuple[int, int], Fraction]
 
 
+def _quoted(value) -> str:
+    """repr(value) for an error message, cut to its first 60 characters
+    and its length when it is longer."""
+    shown = repr(value)
+    return shown if len(shown) <= 60 else f"{shown[:60]}... ({len(shown)} characters)"
+
+
 def parse_rational(text) -> Fraction:
     """Parse an integer, or a string of the grammar -?[0-9]+(/[0-9]+)?,
     into a Fraction.  Decimals, exponents, underscores, signs other than
@@ -63,11 +70,11 @@ def parse_rational(text) -> Fraction:
     if isinstance(text, int):
         return Fraction(text)
     if not (isinstance(text, str) and re.fullmatch(r"-?[0-9]+(/[0-9]+)?", text)):
-        raise StrataError(f"cannot parse rational {text!r}: not an integer or a 'p/q' string")
+        raise StrataError(f"cannot parse rational {_quoted(text)}: not an integer or a 'p/q' string")
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
-        raise StrataError(f"cannot parse rational {text!r}: {exc}") from None
+        raise StrataError(f"cannot parse rational {_quoted(text)}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------

@@ -293,15 +293,6 @@ def _component_tables(g: Multigraph) -> list[tuple[list[int], list[int]]]:
     return out
 
 
-def _inequalities_hold(values: Sequence[int], tables) -> bool:
-    """D(S) >= #edges inside S for every vertex subset S, checked inside
-    each component (the sums over a union of components add up)."""
-    for members, inside in tables:
-        if not all(map(ge, _subset_sums([values[x] for x in members]), inside)):
-            return False
-    return True
-
-
 def _interior_flags(keys: Sequence[int], n: int, bits: int, tables) -> list[bool]:
     """For each exponent key (n digits of bits bits, _key_codec), whether
     D(S) > #edges inside S for every nonempty proper subset S of every
@@ -337,17 +328,16 @@ def _interior_flags(keys: Sequence[int], n: int, bits: int, tables) -> list[bool
     return list(map(bool, lanes[::2 * size]))
 
 
-def _inequality_tables(g: Multigraph) -> list[tuple[list[int], list[int]]]:
-    """_component_tables under the vertex cap of the inequality test."""
-    if g.n_vertices > 24:
-        raise CapExceededError("inequality test limited to 24 vertices")
-    return _component_tables(g)
-
-
 def _subset_inequalities_ok(g: Multigraph, d: Divisor) -> bool:
     """D(S) >= #edges inside S for every vertex subset S (degree already
-    checked).  Exponential in the largest component's size."""
-    return _inequalities_hold(d.values, _inequality_tables(g))
+    checked), inside each component: the sums over a union of components
+    add up.  Exponential in the largest component's size."""
+    if g.n_vertices > 24:
+        raise CapExceededError("inequality test limited to 24 vertices")
+    return all(
+        all(map(ge, _subset_sums([d.values[x] for x in members]), inside))
+        for members, inside in _component_tables(g)
+    )
 
 
 def _is_indegree_inequalities(g: Multigraph, d: Divisor) -> Optional[Orientation]:

@@ -31,7 +31,6 @@ from .exact import (
     cofactor_expansion,
     int_poly_add,
     int_poly_matrix_kernel_vector,
-    int_poly_mul,
     int_rank,
     parse_rational,
     poly,
@@ -313,21 +312,13 @@ def eigen_line_data(p: MatrixPolynomial, c: SpectralLineArrangement) -> tuple[Ei
 def _eigen_line_data(
     c: SpectralLineArrangement, rows: list[list[IPoly]], scales: list[int]
 ) -> tuple[EigenLineData, ...]:
-    n = len(rows)
     out = []
     for i, line in enumerate(c.lines):
-        mat = _line_matrix(rows, scales, line)
         try:
-            ints = int_poly_matrix_kernel_vector(mat)
+            ints = int_poly_matrix_kernel_vector(_line_matrix(rows, scales, line))
         except StrataError as exc:
             raise StrataError(f"line {i}: eigenvector is not unique ({exc})") from None
         vec = _rational_vector(ints)
-        for r in range(n):
-            acc: IPoly = ()
-            for s in range(n):
-                acc = int_poly_add(acc, int_poly_mul(mat[r][s], ints[s]))
-            if acc:
-                raise AssertionError("eigenvector identity failed")
         out.append(EigenLineData(i, vec, max(poly_degree(q) for q in vec)))
     return tuple(out)
 
@@ -393,14 +384,18 @@ def classify_polynomial(p: MatrixPolynomial, c: SpectralLineArrangement) -> Stra
     polynomial.  The characteristic polynomial is checked against the
     arrangement once, here, and P's rows are cleared of denominators once:
     the node ranks and the line matrices are built from those integer
-    rows.  The divisor is always an indegree divisor on the subgraph,
-    which is asserted."""
+    rows.  The divisor of a polynomial that meets the spectral-curve
+    assumptions is an indegree divisor on the subgraph; input whose divisor
+    is not is rejected."""
     _check_char_matches(p, c)
     rows, scales = _cleared_rows(p)
     sub = _gamma(c, rows, scales, p.m)
     d = _divisor(c, rows, scales)
     if is_indegree(sub.as_multigraph(), d) is None:
-        raise AssertionError("computed divisor is not an indegree divisor of the subgraph")
+        raise StrataError(
+            f"divisor {list(d.values)} is not an indegree divisor of the eigenvector "
+            "subgraph; the input violates the spectral-curve assumptions"
+        )
     return StratumLabel(sub, d)
 
 

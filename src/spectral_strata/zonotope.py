@@ -7,12 +7,12 @@ orientations whose non-loop part is acyclic, and its interior points are
 the completely reducible divisors.  Everything here is decided
 combinatorially; no convex-hull machinery is involved.
 
-An acyclic orientation is the only orientation with its indegree vector,
-and an orientation with a directed cycle shares its vector with the one
-that reverses the cycle.  So the vertices are read off the b-polynomial of
-the loopless part, as its exponents with coefficient 1, shifted by the
-loops at each vertex; no orientation is enumerated
-(zonotope_vertices gives the proof).
+All of it is read off one term map, the graph's b-polynomial
+(indegree._bpoly_terms): the lattice points are its exponents, the
+vertices are its exponents whose coefficient is 2^(number of loops), the
+least a coefficient can be (zonotope_vertices gives the proof), and
+lattice_csv takes each point's multiplicity and vertex flag from the same
+map.  No orientation is enumerated.
 """
 
 from __future__ import annotations
@@ -33,14 +33,11 @@ from .indegree import (
     DivisorTag,
     _bpoly_terms,
     _component_tables,
-    _inequalities_hold,
-    _inequality_tables,
     _interior_flags,
     _key_bits,
     _key_codec,
     classify,
     enumerate_indegree,
-    multiplicity,
 )
 
 
@@ -63,35 +60,10 @@ class GraphicalZonotope:
 
 
 def lattice_points(g: Multigraph, max_edges: int = DEFAULT_MAX_EDGES) -> list[Divisor]:
-    """Lattice points of the zonotope, enumerated independently of the
-    orientation sweep: integer points of the bounding box on the
-    edge-count hyperplane, filtered by the subset inequalities, and then
-    cross-checked against the indegree enumeration."""
+    """Lattice points of the zonotope in lex order: the indegree divisors,
+    which are the exponents of the b-polynomial."""
     ensure_cap(g.n_edges, max_edges, "lattice_points")
-    n, e = g.n_vertices, g.n_edges
-    degs = [g.degree(i) for i in range(n)]
-    points: list[Divisor] = []
-
-    def extend(prefix: list[int], remaining: int) -> None:
-        i = len(prefix)
-        if i == n:
-            if remaining == 0 and _inequalities_hold(prefix, tables):
-                points.append(Divisor(g.vertices, tuple(prefix)))
-            return
-        tail_capacity = sum(degs[i + 1:])
-        lo = max(0, remaining - tail_capacity)
-        hi = min(degs[i], remaining)
-        for x in range(lo, hi + 1):
-            extend(prefix + [x], remaining - x)
-
-    if n == 0:
-        return [] if e else [Divisor((), ())]
-    tables = _inequality_tables(g)
-    extend([], e)
-    expected = enumerate_indegree(g, max_edges)
-    if points != expected:
-        raise AssertionError("zonotope lattice points disagree with indegree enumeration")
-    return points
+    return enumerate_indegree(g, max_edges)
 
 
 def zonotope_vertices(g: Multigraph, max_edges: int = DEFAULT_MAX_EDGES) -> list[Divisor]:
@@ -99,31 +71,24 @@ def zonotope_vertices(g: Multigraph, max_edges: int = DEFAULT_MAX_EDGES) -> list
     directed cycles apart from loops (acyclic orientations when the graph
     is loopless), in lex order.
 
-    They are the exponents with coefficient 1 in the b-polynomial of the
-    loopless part, shifted by the loop count at each vertex.  Reversing a
-    directed cycle keeps the indegrees, so an orientation with a cycle
-    shares its indegree vector with another orientation.  Conversely, if
-    two orientations have the same indegrees, the edges on which they
-    differ have as many heads as tails at every vertex in either of them,
-    so they hold a directed cycle: an acyclic orientation is the only one
-    with its indegree vector.  A loop adds 1 to its vertex in both of its
-    orientations, so loops only double every coefficient and shift every
-    exponent.
+    They are the exponents of the b-polynomial whose coefficient is 2^L,
+    with L the number of loops.  A loop at u is the factor 2 x_u, so each
+    coefficient is 2^L times the number of orientations of the loopless
+    part with the indegrees less the loops.  Reversing a directed cycle
+    keeps the indegrees, so an orientation with a cycle shares its indegree
+    vector with another orientation.  Conversely, if two orientations have
+    the same indegrees, the edges on which they differ have as many heads
+    as tails at every vertex in either of them, so they hold a directed
+    cycle: an acyclic orientation is the only one with its indegree vector.
+    So the coefficient is 2^L at the vertices and a larger multiple of 2^L
+    at every other exponent.
     """
     ensure_cap(g.n_edges, max_edges, "zonotope_vertices")
-    loops = [0] * g.n_vertices
-    for u, v in g.edges:
-        if u == v:
-            loops[u] += 1
-    loopless = Multigraph(g.vertices, tuple((u, v) for u, v in g.edges if u != v))
-    terms = _bpoly_terms(loopless)
-    _, decode = _key_codec(g.n_vertices, _key_bits(loopless.n_edges))
-    # adding the same vector to every exponent keeps their lex order
-    return [
-        Divisor(g.vertices, tuple(x + k for x, k in zip(decode(key), loops)))
-        for key in sorted(terms)
-        if terms[key] == 1
-    ]
+    terms = _bpoly_terms(g)
+    least = 1 << sum(u == v for u, v in g.edges)
+    _, decode = _key_codec(g.n_vertices, _key_bits(g.n_edges))
+    keys = sorted(key for key, coeff in terms.items() if coeff == least)
+    return [Divisor(g.vertices, decode(key)) for key in keys]
 
 
 def is_interior(g: Multigraph, d: Divisor) -> bool:
@@ -182,9 +147,11 @@ def halfspace_description(g: Multigraph) -> dict:
 
 def lattice_csv(g: Multigraph, max_edges: int = DEFAULT_MAX_EDGES) -> str:
     """CSV table of lattice points: one coordinate column per vertex, then
-    multiplicity, is_vertex, is_interior."""
+    multiplicity, is_vertex, is_interior.  The first two are read off the
+    point's b-polynomial coefficient, the last off _interior_flags."""
     points = lattice_points(g, max_edges)
-    verts = set(d.values for d in zonotope_vertices(g, max_edges))
+    terms = _bpoly_terms(g)
+    least = 1 << sum(u == v for u, v in g.edges)  # a vertex's coefficient
     bits = _key_bits(g.n_edges)
     encode, _ = _key_codec(g.n_vertices, bits)
     keys = [encode(d.values) for d in points]
@@ -192,9 +159,7 @@ def lattice_csv(g: Multigraph, max_edges: int = DEFAULT_MAX_EDGES) -> str:
     buf = io.StringIO()
     writer = _csv.writer(buf, lineterminator="\n")
     writer.writerow(list(g.vertices) + ["multiplicity", "is_vertex", "is_interior"])
-    for d, flag in zip(points, interior):
-        writer.writerow(
-            list(d.values)
-            + [multiplicity(g, d), str(d.values in verts).lower(), str(flag).lower()]
-        )
+    for d, key, flag in zip(points, keys, interior):
+        coeff = terms[key]
+        writer.writerow(list(d.values) + [coeff, str(coeff == least).lower(), str(flag).lower()])
     return buf.getvalue()

@@ -26,6 +26,10 @@ ORB2 = {
     "n": 2,
     "coeffs": [[["0", "5"], ["0", "1"]], [["0", "0"], ["0", "1"]]],
 }
+# a degree-two polynomial whose char poly is the product of the lines
+# mu = lambda and mu = 1 + 2 lambda, and whose divisor is no indegree
+# divisor of its eigenvector subgraph
+DEGREE_TWO = {"coeffs": [[["0", "0"], ["0", "1"]], [["1", "0"], ["0", "2"]], [["0", "1"], ["0", "0"]]]}
 
 
 def run(*args, env=None):
@@ -132,6 +136,15 @@ class TestZonotopeCommands:
 
     def test_vertices_count(self):
         assert run_ok("zonotope", "vertices", "--complete", "3", "--count") == "6\n"
+
+    def test_points_past_the_inequality_cap(self):
+        # 26 vertices, 12 disjoint edges: every lattice point is a vertex
+        names = [f"v{i + 1}" for i in range(26)]
+        graph = json.dumps({"vertices": names, "edges": [names[i : i + 2] for i in range(0, 24, 2)]})
+        for what in ("points", "vertices"):
+            assert run_ok("zonotope", what, graph, "--count") == "4096\n"
+        rows = run_ok("zonotope", "points", graph, "--format", "csv").splitlines()[1:]
+        assert len(rows) == 4096 and all(row.endswith(",1,true,false") for row in rows)
 
     def test_vertices_without_orientation_sweep(self, monkeypatch):
         # the vertices are read off the b-polynomial; no orientation is listed
@@ -766,6 +779,7 @@ class TestCliContract:
             ("matpoly", "charpoly", {"coeffs": [[[" 2 "]]]}),
             ("matpoly", "charpoly", {"coeffs": [[["1e4300"]]]}),
             ("matpoly", "charpoly", {"coeffs": [[["0.5"]]]}),
+            ("matpoly", "classify", json.dumps(DEGREE_TWO), "--arrangement", {"lines": [["0", "1"], ["1", "2"]]}),
         ],
     )
     def test_malformed_input_exits_2(self, args):

@@ -58,6 +58,20 @@ class TestParseRational:
         with pytest.raises(StrataError, match="cannot parse rational"):
             parse_rational(text)
 
+    @pytest.mark.parametrize(
+        "text", ["7" * 5001, "x" * 5001, ["1"] * 5001], ids=["digits", "letters", "list"]
+    )
+    def test_long_input_is_quoted_in_part(self, text):
+        with pytest.raises(StrataError, match="cannot parse rational") as info:
+            parse_rational(text)
+        assert len(str(info.value)) < 300
+        assert "characters)" in str(info.value)
+
+    def test_short_input_is_quoted_whole(self):
+        with pytest.raises(StrataError) as info:
+            parse_rational("1_0")
+        assert str(info.value) == "cannot parse rational '1_0': not an integer or a 'p/q' string"
+
 
 class TestPolyArithmetic:
     def test_trailing_zeros_trimmed(self):

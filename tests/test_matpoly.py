@@ -479,6 +479,15 @@ class TestBeyondDegreeOne:
         assert padded.m == 2
         assert classify_polynomial(padded, arr) == classify_polynomial(p, arr)
 
+    def test_divisor_off_the_subgraph_is_rejected(self):
+        # char poly (mu - lambda)(mu - 1 - 2 lambda), yet divisor (0, 2) on
+        # a one-edge subgraph, which no orientation gives
+        arr = line_arrangement([("0", "1"), ("1", "2")])
+        p = matrix_polynomial([[["0", "0"], ["0", "1"]], [["1", "0"], ["0", "2"]], [["0", "1"], ["0", "0"]]])
+        assert char_poly(p) == arrangement_product(arr)
+        with pytest.raises(StrataError, match="violates the spectral-curve assumptions$"):
+            classify_polynomial(p, arr)
+
 
 class TestSingleLine:
     def test_one_line_pipeline(self):

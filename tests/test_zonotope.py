@@ -51,6 +51,30 @@ def sweep_vertices(g):
     return sorted({indeg(o).values for o in all_orientations(g) if _loopless_part_acyclic(o)})
 
 
+def box_points(g):
+    """Lattice point oracle that shares no code with the b-polynomial or
+    the inequality helpers of indegree: the integer points of the box
+    0 <= D(v) <= #edges at v on the hyperplane |D| = e, in lex order, kept
+    when D(S) >= #edges inside S for every vertex subset S (Hakimi)."""
+    n, e = g.n_vertices, g.n_edges
+    at = [sum(x in edge for edge in g.edges) for x in range(n)]
+    inside = [sum(mask >> u & mask >> v & 1 for u, v in g.edges) for mask in range(1 << n)]
+    points = []
+
+    def extend(prefix, remaining):
+        i = len(prefix)
+        if i == n:
+            sums = [sum(x for j, x in enumerate(prefix) if mask >> j & 1) for mask in range(1 << n)]
+            if remaining == 0 and all(map(int.__ge__, sums, inside)):
+                points.append(tuple(prefix))
+            return
+        for x in range(max(0, remaining - sum(at[i + 1:])), min(at[i], remaining) + 1):
+            extend(prefix + [x], remaining - x)
+
+    extend([], e)
+    return points
+
+
 class TestLatticePoints:
     def test_triangle_seven_points(self):
         g = make_k3()
@@ -69,6 +93,37 @@ class TestLatticePoints:
         from spectral_strata import enumerate_indegree
 
         assert lattice_points(g) == enumerate_indegree(g)
+
+    def test_matches_box_oracle_on_family(self):
+        family = list(graph_family())
+        assert len(family) == 9023
+        for g in family:
+            assert [d.values for d in lattice_points(g)] == box_points(g)
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_permutohedra_match_box_oracle(self, n):
+        g = permutohedron_graph(n)
+        assert [d.values for d in lattice_points(g)] == box_points(g)
+
+    @given(multigraphs(max_vertices=6, max_edges=8))
+    def test_matches_box_oracle(self, g):
+        assert [d.values for d in lattice_points(g)] == box_points(g)
+
+    def test_wide_exponents_match_box_oracle(self):
+        # 300 parallel edges a-b and a loop at b: exponent 301 needs two bytes
+        g = build_graph(["a", "b"], [("a", "b")] * 300 + [("b", "b")])
+        points = [d.values for d in lattice_points(g, max_edges=301)]
+        assert points == box_points(g)
+        assert len(points) == 301
+
+    def test_past_the_inequality_cap(self):
+        # 26 vertices, past the 24 of the subset-inequality test: 12 disjoint
+        # edges and 2 isolated vertices, whose zonotope is a 12-cube
+        names = [f"v{i + 1}" for i in range(26)]
+        g = build_graph(names, [(names[2 * i], names[2 * i + 1]) for i in range(12)])
+        points = lattice_points(g)
+        assert points == zonotope_vertices(g)
+        assert len(points) == 4096
 
 
 class TestZonotopeVertices:
@@ -109,6 +164,21 @@ class TestZonotopeVertices:
         verts = [d.values for d in zonotope_vertices(g)]
         assert verts == sweep_vertices(g)
         assert len(verts) == 6 * 2
+
+    @pytest.mark.parametrize(
+        "edges",
+        [
+            [("a", "a"), ("b", "b")],
+            [("a", "a"), ("a", "a"), ("b", "b"), ("a", "b")],
+            [("a", "a"), ("b", "b"), ("c", "c"), ("a", "b"), ("b", "c"), ("a", "c")],
+            [("a", "a"), ("c", "c"), ("c", "c"), ("a", "b"), ("a", "b"), ("b", "c")],
+        ],
+    )
+    def test_loops_at_several_vertices_match_orientation_sweep(self, edges):
+        # every coefficient carries the factor 2 of each loop
+        g = build_graph(["a", "b", "c"], edges)
+        verts = [d.values for d in zonotope_vertices(g)]
+        assert verts and verts == sweep_vertices(g)
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_complete_graph_has_n_factorial_vertices(self, n):
@@ -252,3 +322,11 @@ class TestLatticeCsv:
             cells = row.split(",")
             assert tuple(int(x) for x in cells[: g.n_vertices]) == d.values
             assert cells[-1] == str(is_interior(g, d)).lower()
+
+    @given(multigraphs(max_vertices=5, max_edges=6))
+    def test_multiplicity_and_vertex_columns_match_library(self, g):
+        verts = {d.values for d in zonotope_vertices(g)}
+        rows = lattice_csv(g).splitlines()[1:]
+        for row, d in zip(rows, lattice_points(g)):
+            cells = row.split(",")
+            assert cells[-3:-1] == [str(multiplicity(g, d)), str(d.values in verts).lower()]
