@@ -25,7 +25,13 @@ The commands:
     multigraphs (m = edge count, n = 2), and on a triangle with m = 1,
     n = 2, whose strata would have negative dimension;
   * strata adjacency at every ordered pair of 3-line strata, and on that
-    triangle shape between its full and empty strata;
+    triangle shape between its full and empty strata; and between the
+    full and the empty 5-line strata, plain and at --max-edges 3 and 10;
+  * strata enumerate (JSON, --format csv, --table) and cr on shapes whose
+    subgraphs have degree-one vertices or bridges: an 8-vertex path, a
+    7-vertex tree, two triangles joined by an edge and a pendant vertex
+    with a loop; and zonotope points --format csv on 12- and 16-vertex
+    paths;
   * graph classify on K1..K4 and on the seeded multigraphs, at every
     divisor of the right degree and at a few that are not (a negative
     entry, one unit too many); graph bpoly on the same graphs, and graph
@@ -375,6 +381,23 @@ def first_commands(quick: bool) -> list[list[str]]:
     for upper, lower in ((full, empty), (empty, full)):
         payload = {"shape": triangle, "upper": upper, "lower": lower}
         cmds.append(["strata", "adjacency", json.dumps(payload)])
+    full5, empty5 = _stratum_obj(range(10), [4, 3, 2, 1, 0]), _stratum_obj([], [0] * 5)
+    payload = json.dumps({"lines": 5, "upper": full5, "lower": empty5})
+    for cap in ([], ["--max-edges", "3"], ["--max-edges", "10"]):
+        cmds.append([*cap, "strata", "adjacency", payload])
+    leafy = (
+        (8, [(i, i + 1) for i in range(7)]),
+        (7, [(0, 1), (0, 2), (0, 3), (3, 4), (3, 5), (5, 6)]),
+        (6, [(0, 1), (0, 2), (1, 2), (2, 3), (3, 4), (3, 5), (4, 5)]),
+        (3, [(0, 1), (0, 2), (0, 2), (1, 1)]),
+    )
+    for k, edges in leafy:
+        shape = json.dumps({"shape": {"graph": json.loads(_graph(k, edges)), "m": len(edges), "n": 2}})
+        for extra in ([], ["--format", "csv"], ["--table"]):
+            cmds.append(["strata", "enumerate", shape, *extra])
+        cmds.append(["strata", "cr", shape])
+    for k in (12, 16):
+        cmds.append(["zonotope", "points", _graph(k, [(i, i + 1) for i in range(k - 1)]), "--format", "csv"])
     for n in range(4, 8):
         for coeffs in _reducibility_inputs(n):
             cmds.append(["matpoly", "reducibility", json.dumps({"coeffs": coeffs})])

@@ -11,7 +11,7 @@ from __future__ import annotations
 import functools
 import json
 import sys
-from itertools import chain, compress, islice
+from itertools import chain, islice
 from pathlib import Path
 from typing import Iterable, Iterator
 
@@ -72,8 +72,8 @@ def _label_texts(g: Multigraph, rows: Iterable[tuple]) -> Iterator[str]:
     for row in rows:
         if row[0] != mask:
             mask = row[0]
-            edges = [i for i in range(g.n_edges) if mask >> i & 1]
-            template = '{"subgraph": ' + _dumps(edges) + ', "divisor": ' + divisor
+            edges = _dumps(_strata._edges_of(mask, g.n_edges))
+            template = '{"subgraph": ' + edges + ', "divisor": ' + divisor
         yield template % decode(row[1])
 
 
@@ -82,10 +82,10 @@ def _stratum_texts(g: Multigraph, table: Iterable[tuple]) -> Iterator[str]:
     table, with one %-template per subgraph (as in _label_texts)."""
     divisor = _strata._divisor_template(g.vertices)
 
-    def template(sub: Subgraph, dim: int) -> str:
-        edges = _dumps(list(sub.edge_list()))
+    def template(mask: int, dim: int) -> str:
+        edges = _dumps(_strata._edges_of(mask, g.n_edges))
         return (
-            f'{{"id": %d, "edge_bitmask": {sub.bitmask}, "subgraph_edges": {edges}, "divisor": '
+            f'{{"id": %d, "edge_bitmask": {mask}, "subgraph_edges": {edges}, "divisor": '
             + divisor
             + f', "dimension": {dim}, "class": "%s", "multiplicity": %d}}'
         )
@@ -390,11 +390,11 @@ def strata_enumerate(max_edges: int, input_arg, lines, fmt, as_table) -> None:
     divisor = _strata._divisor_template(g.vertices, ",", ":")
     decode = _strata._decoder(g)
     rows = [["id", "edge_bitmask", "divisor", "dimension", "class", "multiplicity"]]
-    for sub, dim, keys, flags, terms in table:
+    for mask, dim, keys, flags, terms in table:
         for key, flag in zip(keys, flags):
             row_id = str(len(rows) - 1)
             cls, mult = _strata._CLASS[flag], terms[key]
-            rows.append([row_id, str(sub.bitmask), divisor % decode(key), str(dim), cls, str(mult)])
+            rows.append([row_id, str(mask), divisor % decode(key), str(dim), cls, str(mult)])
     widths = [max(map(len, column)) for column in zip(*rows)]
     _echo_stream("  ".join(x.ljust(w) for x, w in zip(row, widths)).rstrip() + "\n" for row in rows)
 
@@ -412,7 +412,7 @@ def strata_adjacency(max_edges: int, input_arg: str) -> None:
     shape = _shape_from_obj(obj)
     s1 = _stratum_from_obj(shape.dual_graph, obj.get("upper"))
     s2 = _stratum_from_obj(shape.dual_graph, obj.get("lower"))
-    mult = _strata.adjacency_multiplicity(shape, s1, s2)
+    mult = _strata.adjacency_multiplicity(shape, s1, s2, max_edges)
     click.echo(_dumps({"multiplicity": mult}))
 
 
@@ -461,11 +461,7 @@ def strata_components(max_edges: int, input_arg, lines, count) -> None:
 def strata_cr(max_edges: int, input_arg, lines) -> None:
     """Completely reducible strata (the compactified-Jacobian index set)."""
     shape = _shape_from_options(lines, input_arg, max_edges)
-    rows = (
-        (sub.bitmask, key)
-        for sub, _, keys, flags, _ in _table(shape, max_edges)
-        for key in compress(keys, flags)
-    )
+    rows = _strata._cr_rows(_table(shape, max_edges))
     texts = (text + "}" for text in _label_texts(shape.dual_graph, rows))
     _echo_stream(chain(_json_array(texts), ["\n"]))
 

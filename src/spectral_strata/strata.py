@@ -28,13 +28,13 @@ multiplicity]): hasse_diagram and local_model build their labels from
 them, and the CLI renders its Hasse exports (hasse_dot_lines for DOT) and
 local censuses straight from the rows, as streams, with no label per
 element.  _table_rows does each subgraph's work once: the dimension
-check, the component tables and the interior flags (strict subset
-inequalities) of all its divisors in one bit-parallel pass, which give
-each stratum's class.  It yields each subgraph's sorted keys, their flags
-and its term map (the multiplicities); cr_strata keeps the interior keys
-as labels, stratum_rows builds its dicts from them, and strata_csv and
-the CLI's strata enumerate and strata cr render them as text streams,
-one %-template per subgraph.  Keys become divisor values only there.
+check and the interior flags (strict subset inequalities) of all its
+divisors in one bit-parallel pass, skipped where a vertex has degree one
+(none is interior there).  It yields each edge bitmask, its sorted keys,
+their flags (the classes) and its term map (the multiplicities), which
+cr_strata and stratum_rows turn into labels and dicts and strata_csv and
+the CLI's strata enumerate and strata cr into text, one %-template per
+subgraph.  Keys become divisor values only there.
 irreducible_components reads b_polynomial, as its top row is one chain of
 e steps.  No flow search runs on these labels; labels from a caller are
 checked by max flow (_validate_stratum).
@@ -188,6 +188,11 @@ def _full_walk(g: Multigraph, max_edges: int) -> Iterator[tuple[Subgraph, dict]]
     return zip(_subgraphs(g, max_edges), _walk(g, range(g.n_edges), 0))
 
 
+def _edges_of(mask: int, n_edges: int) -> list[int]:
+    """The edge indices of a bitmask over n_edges edges, ascending."""
+    return [i for i in range(n_edges) if mask >> i & 1]
+
+
 def _decoder(g: Multigraph):
     """key -> divisor values, for the exponent keys of g."""
     return _key_codec(g.n_vertices, _key_bits(g.n_edges))[1]
@@ -209,12 +214,14 @@ def stratum_dimension(c: CurveShape, s: StratumLabel) -> int:
     return _dimension(c, s.subgraph.n_edges)
 
 
-def adjacency_multiplicity(c: CurveShape, s1: StratumLabel, s2: StratumLabel) -> int:
+def adjacency_multiplicity(
+    c: CurveShape, s1: StratumLabel, s2: StratumLabel, max_edges: int = DEFAULT_MAX_EDGES
+) -> int:
     """Multiplicity of s1 along s2: the number of local branches of the
     closure of s1 at points of s2.  Zero iff s2 is not in the closure of
     s1; greater than one means the closure is singular along s2.  Raises,
     as stratum_dimension does, when either stratum's dimension is
-    negative."""
+    negative, and when more than max_edges edges of s1 lie outside s2."""
     _validate_stratum(c, s1)
     _validate_stratum(c, s2)
     _dimension(c, s1.subgraph.n_edges)
@@ -224,7 +231,7 @@ def adjacency_multiplicity(c: CurveShape, s1: StratumLabel, s2: StratumLabel) ->
     diff = s1.divisor - s2.divisor
     if any(x < 0 for x in diff.values):
         return 0
-    return relative_multiplicity(s1.subgraph, s1.divisor, s2.subgraph, s2.divisor)
+    return relative_multiplicity(s1.subgraph, s1.divisor, s2.subgraph, s2.divisor, max_edges)
 
 
 def _local_rows(
@@ -256,7 +263,7 @@ def _labelled(g: Multigraph, rows: Iterable[tuple]) -> Iterator[tuple[StratumLab
     order, with one Subgraph per bitmask."""
     decode = _decoder(g)
     for mask, group in groupby(rows, itemgetter(0)):
-        sub = Subgraph(g, frozenset(i for i in range(g.n_edges) if mask >> i & 1))
+        sub = Subgraph(g, frozenset(_edges_of(mask, g.n_edges)))
         for row in group:
             yield StratumLabel(sub, Divisor(g.vertices, decode(row[1]))), row
 
@@ -292,6 +299,7 @@ def _hasse_table(
     offsets sorted they come out in index order."""
     if any(u == v for u, v in g.edges):
         raise StrataError("hasse_diagram requires a loopless graph")
+    ensure_cap(g.n_edges, max_edges, "generating_subgraphs")
     bits = _key_bits(g.n_edges)
     width = g.n_vertices * bits
     place = _places(g.n_vertices, bits)
@@ -299,7 +307,7 @@ def _hasse_table(
     index: dict[int, int] = {}
     # per subgraph bitmask: the sorted offsets of its covers
     offsets: list[list[int]] = []
-    for mask, (_, terms) in enumerate(_full_walk(g, max_edges)):
+    for mask, terms in enumerate(_walk(g, range(g.n_edges), 0)):
         offsets.append(sorted(
             (1 << i + width) + place[head]
             for i, (u, v) in enumerate(g.edges)
@@ -359,12 +367,15 @@ def cr_strata(c: CurveShape, max_edges: int = DEFAULT_MAX_EDGES) -> list[Stratum
     isospectral variety and the canonical compactified-Jacobian
     stratification.  They are the interior strata of _table_rows, in
     table order."""
-    vertices, decode = c.dual_graph.vertices, _decoder(c.dual_graph)
-    return [
-        StratumLabel(sub, Divisor(vertices, decode(key)))
-        for sub, _, keys, flags, _ in _table_rows(c, max_edges)
-        for key in compress(keys, flags)
-    ]
+    return [label for label, _ in _labelled(c.dual_graph, _cr_rows(_table_rows(c, max_edges)))]
+
+
+def _cr_rows(table: Iterable[tuple]) -> Iterator[tuple[int, int]]:
+    """(edge bitmask, exponent key) of each interior stratum of a
+    _table_rows table, in table order."""
+    for mask, _, keys, flags, _ in table:
+        for key in compress(keys, flags):
+            yield mask, key
 
 
 def stratum_class(c: CurveShape, s: StratumLabel) -> DivisorClass:
@@ -377,23 +388,36 @@ def stratum_class(c: CurveShape, s: StratumLabel) -> DivisorClass:
 
 def _table_rows(
     c: CurveShape, max_edges: int
-) -> Iterator[tuple[Subgraph, int, list[int], list[bool], dict[int, int]]]:
-    """Per generating subgraph, by bitmask: the subgraph, its stratum
+) -> Iterator[tuple[int, int, list[int], list[bool], dict[int, int]]]:
+    """Per generating subgraph, by edge bitmask: the bitmask, its stratum
     dimension (checked), the exponent keys of its strata in divisor order,
     their interior flags and the walk's term map, which gives each key's
     multiplicity on the subgraph.  A divisor is completely reducible
     exactly when it is interior (its class is _CLASS[flag]), and the
     flags of all the subgraph's divisors come from one pass of
-    _interior_flags over their keys.  The first subgraph is the empty one,
-    of the lowest dimension, so taking it raises the cap and dimension
-    errors."""
+    _interior_flags over their keys.  Taking the first subgraph, the empty
+    one of the lowest dimension, raises the cap and dimension errors.
+
+    A subgraph with a vertex of degree one (a loop counts two) has no
+    interior divisor, so its flags are all False and no tables are built
+    for it.  Let x have degree one, its edge xy in component C.  Interior
+    needs D(x) > e({x}) = 0, and x heads at most its one edge, so D(x) = 1;
+    then S = C minus x has D(S) = e(C) - 1 = e(S): D(S) > e(S) fails."""
     g = c.dual_graph
+    ensure_cap(g.n_edges, max_edges, "generating_subgraphs")
     n, bits = g.n_vertices, _key_bits(g.n_edges)
-    for sub, terms in _full_walk(g, max_edges):
-        dim = _dimension(c, sub.n_edges)
+    # v has degree one when the mask holds one edge at v (x, a single bit) and it is no loop
+    at = [sum(1 << i for i, e in enumerate(g.edges) if v in e) for v in range(n)]
+    links = sum(1 << i for i, (u, v) in enumerate(g.edges) if u != v)
+    for mask, terms in enumerate(_walk(g, range(g.n_edges), 0)):
+        dim = _dimension(c, mask.bit_count())
         keys = sorted(terms)
-        flags = _interior_flags(keys, n, bits, _component_tables(sub.as_multigraph()))
-        yield sub, dim, keys, flags, terms
+        if any((x := mask & a) and not x & x - 1 and x & links for a in at):
+            flags = [False] * len(keys)
+        else:
+            sub = Multigraph(g.vertices, tuple(g.edges[i] for i in _edges_of(mask, g.n_edges)))
+            flags = _interior_flags(keys, n, bits, _component_tables(sub))
+        yield mask, dim, keys, flags, terms
 
 
 def _divisor_template(vertices: Sequence[str], item_sep: str = ", ", key_sep: str = ": ") -> str:
@@ -406,12 +430,12 @@ def _divisor_template(vertices: Sequence[str], item_sep: str = ", ", key_sep: st
 
 def _stratum_lines(g: Multigraph, table: Iterable[tuple], template_of) -> Iterator[str]:
     """One text per stratum of the _table_rows table of a shape on g:
-    template_of(sub, dim) is a %-template per subgraph, filled with the
+    template_of(mask, dim) is a %-template per subgraph, filled with the
     stratum's (id, divisor values..., class, multiplicity)."""
     decode = _decoder(g)
     i = 0
-    for sub, dim, keys, flags, terms in table:
-        template = template_of(sub, dim)
+    for mask, dim, keys, flags, terms in table:
+        template = template_of(mask, dim)
         for key, flag in zip(keys, flags):
             yield template % (i, *decode(key), _CLASS[flag], terms[key])
             i += 1
@@ -422,13 +446,13 @@ def stratum_rows(c: CurveShape, max_edges: int = DEFAULT_MAX_EDGES) -> list[dict
     class, multiplicity (of the divisor on its subgraph)."""
     vertices, decode = c.dual_graph.vertices, _decoder(c.dual_graph)
     rows = []
-    for sub, dim, keys, flags, terms in _table_rows(c, max_edges):
+    for mask, dim, keys, flags, terms in _table_rows(c, max_edges):
         for key, flag in zip(keys, flags):
             rows.append(
                 {
                     "id": len(rows),
-                    "edge_bitmask": sub.bitmask,
-                    "subgraph_edges": list(sub.edge_list()),
+                    "edge_bitmask": mask,
+                    "subgraph_edges": _edges_of(mask, c.dual_graph.n_edges),
                     "divisor": dict(zip(vertices, decode(key))),
                     "dimension": dim,
                     "class": _CLASS[flag],
@@ -447,7 +471,7 @@ def _csv_lines(g: Multigraph, table: Iterable[tuple]) -> Iterator[str]:
     _csv.writer(buf, lineterminator="\n").writerow([_divisor_template(g.vertices)])
     divisor = buf.getvalue()[:-1]
     yield "id,edge_bitmask,divisor,dimension,class,multiplicity\n"
-    yield from _stratum_lines(g, table, lambda sub, dim: f"%d,{sub.bitmask},{divisor},{dim},%s,%d\n")
+    yield from _stratum_lines(g, table, lambda mask, dim: f"%d,{mask},{divisor},{dim},%s,%d\n")
 
 
 def strata_csv(c: CurveShape, max_edges: int = DEFAULT_MAX_EDGES) -> str:
@@ -462,7 +486,7 @@ def stratum_report_json_obj(c: CurveShape, s: StratumLabel, max_edges: int = DEF
     for other in enumerate_strata(c, max_edges):
         if other == s:
             continue
-        mult = adjacency_multiplicity(c, s, other)
+        mult = adjacency_multiplicity(c, s, other, max_edges)
         if mult > 0:
             adjacency.append(
                 {

@@ -148,14 +148,19 @@ def halfspace_description(g: Multigraph) -> dict:
 def lattice_csv(g: Multigraph, max_edges: int = DEFAULT_MAX_EDGES) -> str:
     """CSV table of lattice points: one coordinate column per vertex, then
     multiplicity, is_vertex, is_interior.  The first two are read off the
-    point's b-polynomial coefficient, the last off _interior_flags."""
+    point's b-polynomial coefficient, the last off _interior_flags, or is
+    false on every row, with no tables, when a vertex has degree one
+    (strata._table_rows gives the proof)."""
     points = lattice_points(g, max_edges)
     terms = _bpoly_terms(g)
     least = 1 << sum(u == v for u, v in g.edges)  # a vertex's coefficient
     bits = _key_bits(g.n_edges)
     encode, _ = _key_codec(g.n_vertices, bits)
     keys = [encode(d.values) for d in points]
-    interior = _interior_flags(keys, g.n_vertices, bits, _component_tables(g))
+    if any(g.degree(v) == 1 for v in range(g.n_vertices)):
+        interior = [False] * len(keys)
+    else:
+        interior = _interior_flags(keys, g.n_vertices, bits, _component_tables(g))
     buf = io.StringIO()
     writer = _csv.writer(buf, lineterminator="\n")
     writer.writerow(list(g.vertices) + ["multiplicity", "is_vertex", "is_interior"])

@@ -985,3 +985,25 @@ class TestCliContract:
         out = json.loads(run_ok("strata", "cr", "--lines", "2"))
         shape = _shape_from_options(2, None)
         assert out == [classification_to_json_obj(s) for s in cr_strata(shape)]
+
+
+class TestAdjacencyCap:
+    PAYLOAD = json.dumps(
+        {
+            "lines": 5,
+            "upper": {"subgraph": list(range(10)), "divisor": {"v1": 4, "v2": 3, "v3": 2, "v4": 1, "v5": 0}},
+            "lower": {"subgraph": [], "divisor": {}},
+        }
+    )
+
+    def test_max_edges_caps_the_edges_between(self):
+        assert json.loads(run_ok("strata", "adjacency", self.PAYLOAD)) == {"multiplicity": 1}
+        result = run("--max-edges", "3", "strata", "adjacency", self.PAYLOAD)
+        assert result.exit_code == 2
+        assert result.stdout_bytes == b""
+        assert json.loads(result.stderr) == {
+            "error": {
+                "type": "CapExceededError",
+                "message": "relative_multiplicity: 10 edges exceed the enumeration cap 3",
+            }
+        }

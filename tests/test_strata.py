@@ -45,7 +45,7 @@ from spectral_strata.indegree import (
     _key_codec,
     _totally_cyclic,
 )
-from spectral_strata.strata import _full_walk, _walk
+from spectral_strata.strata import _full_walk, _table_rows, _walk
 
 from helpers import divisor, make_e2, make_k3, make_k4, make_loop, multigraphs, pair_types
 
@@ -716,4 +716,131 @@ class TestPerSubgraphKernels:
         assert str(info.value) == (
             "shape admits no such stratum: dimension -2 is negative "
             "(more nodes than the degree bound permits)"
+        )
+
+
+def _degree_one(g):
+    return any(g.degree(v) == 1 for v in range(g.n_vertices))
+
+
+def _has_bridge(g):
+    count = len(g.connected_components())
+    return any(
+        len(Multigraph(g.vertices, g.edges[:i] + g.edges[i + 1:]).connected_components()) > count
+        for i, (u, v) in enumerate(g.edges)
+        if u != v
+    )
+
+
+def _path(n):
+    return Multigraph(tuple(f"v{i + 1}" for i in range(n)), tuple((i, i + 1) for i in range(n - 1)))
+
+
+class TestDegreeRule:
+    """_table_rows gives every subgraph with a degree-one vertex all-False
+    flags without building its tables; the flags still agree with the
+    subset-inequality oracle everywhere."""
+
+    #: two triangles joined by the edge v3-v4: a bridge with no leaf
+    BRIDGED = Multigraph(
+        tuple(f"v{i + 1}" for i in range(6)),
+        ((0, 1), (0, 2), (1, 2), (2, 3), (3, 4), (3, 5), (4, 5)),
+    )
+    #: a pendant vertex v2 whose only other edge is a loop (degree 3)
+    PENDANT_LOOP = Multigraph(("v1", "v2", "v3"), ((0, 1), (0, 2), (0, 2), (1, 1)))
+
+    def test_flags_match_oracle(self):
+        family = [*seeded_multigraphs(60), self.BRIDGED, self.PENDANT_LOOP]
+        features = set()
+        for g in family:
+            decode = _key_codec(g.n_vertices, _key_bits(g.n_edges))[1]
+            shape = CurveShape(g, max(g.n_edges, 1), 2)
+            for mask, dim, keys, flags, terms in _table_rows(shape, g.n_edges):
+                sub = Multigraph(g.vertices, tuple(g.edges[i] for i in range(g.n_edges) if mask >> i & 1))
+                degrees = [sub.degree(v) for v in range(g.n_vertices)]
+                features |= {
+                    name
+                    for name, present in (
+                        ("pendant", 1 in degrees),
+                        ("pendant with loop", any(
+                            sum(e.count(v) == 1 for e in sub.edges) == 1 and (v, v) in sub.edges
+                            for v in range(g.n_vertices)
+                        )),
+                        ("bridge, no leaf", 1 not in degrees and _has_bridge(sub)),
+                        ("isolated", 0 in degrees and sub.edges),
+                        ("parallel", len(set(sub.edges)) < len(sub.edges)),
+                    )
+                    if present
+                }
+                assert dim == shape.top_dimension - g.n_edges + mask.bit_count()
+                assert keys == sorted(terms)
+                oracle = [_interior_by_inequalities(sub, Divisor(g.vertices, decode(k))) for k in keys]
+                assert flags == oracle, (g, mask)
+                if 1 in degrees:
+                    assert not any(flags)
+        assert features == {"pendant", "pendant with loop", "bridge, no leaf", "isolated", "parallel"}
+
+    def test_tables_only_without_degree_one(self, monkeypatch):
+        from spectral_strata import strata
+
+        built = []
+
+        def counting(g):
+            built.append(g)
+            return _component_tables(g)
+
+        monkeypatch.setattr(strata, "_component_tables", counting)
+        g = complete_graph(4)
+        rows = list(_table_rows(CurveShape(g, 1, 4), g.n_edges))
+        expected = [sub.as_multigraph() for sub in generating_subgraphs(g)]
+        expected = [sub for sub in expected if not _degree_one(sub)]
+        assert len(rows) == 64 and len(expected) == 15
+        assert built == expected
+
+    @pytest.mark.parametrize(
+        "g",
+        [
+            _path(7),
+            # a tree: v1 joined to v2, v3, v4; v4 to v5 and v6; v6 to v7
+            Multigraph(
+                tuple(f"v{i + 1}" for i in range(7)),
+                ((0, 1), (0, 2), (0, 3), (3, 4), (3, 5), (5, 6)),
+            ),
+        ],
+    )
+    def test_forest_builds_tables_only_when_edgeless(self, monkeypatch, g):
+        # every subgraph of a forest with an edge has a leaf; only the
+        # empty subgraph, whose one divisor is interior, gets tables
+        from spectral_strata import indegree, strata
+
+        def edgeless_only(sub):
+            if sub.edges:
+                raise AssertionError("component tables built for a forest with an edge")
+            return _component_tables(sub)
+
+        monkeypatch.setattr(indegree, "_component_tables", edgeless_only)
+        monkeypatch.setattr(strata, "_component_tables", edgeless_only)
+        shape = CurveShape(g, g.n_edges, 2)
+        zero = Divisor(g.vertices, (0,) * g.n_vertices)
+        empty = StratumLabel(Subgraph(g, frozenset()), zero)
+        assert cr_strata(shape) == [empty]
+        rows = stratum_rows(shape)
+        assert len(rows) == 3 ** g.n_edges
+        assert [row["id"] for row in rows if row["class"] == "completely_reducible"] == [0]
+
+
+class TestAdjacencyCap:
+    def test_cap_applies_to_the_edges_between(self):
+        shape = shape_lines(5)
+        full = label(shape, range(10), (4, 3, 2, 1, 0))
+        empty = label(shape, [], (0,) * 5)
+        assert adjacency_multiplicity(shape, full, empty) == 1
+        assert adjacency_multiplicity(shape, full, empty, max_edges=10) == 1
+        with pytest.raises(CapExceededError) as info:
+            adjacency_multiplicity(shape, full, empty, max_edges=3)
+        assert str(info.value) == "relative_multiplicity: 10 edges exceed the enumeration cap 3"
+        # two edges apart fit a cap of 3
+        lower = label(shape, range(8), (4, 2, 1, 1, 0))
+        assert adjacency_multiplicity(shape, full, lower, max_edges=3) == relative_multiplicity(
+            full.subgraph, full.divisor, lower.subgraph, lower.divisor
         )

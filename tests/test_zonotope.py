@@ -330,3 +330,28 @@ class TestLatticeCsv:
         for row, d in zip(rows, lattice_points(g)):
             cells = row.split(",")
             assert cells[-3:-1] == [str(multiplicity(g, d)), str(d.values in verts).lower()]
+
+
+class TestCsvDegreeRule:
+    @staticmethod
+    def path(n):
+        vertices = [f"v{i + 1}" for i in range(n)]
+        return build_graph(vertices, list(zip(vertices, vertices[1:])))
+
+    def test_leaf_needs_no_tables(self, monkeypatch):
+        from spectral_strata import indegree, zonotope
+        from spectral_strata.indegree import _component_tables, _interior_flags, _key_bits, _key_codec
+
+        short = self.path(10)
+        encode, _ = _key_codec(short.n_vertices, _key_bits(short.n_edges))
+        keys = [encode(d.values) for d in lattice_points(short)]
+        flags = _interior_flags(keys, short.n_vertices, _key_bits(short.n_edges), _component_tables(short))
+
+        def no_tables(g):
+            raise AssertionError("component tables built for a graph with a leaf")
+
+        monkeypatch.setattr(indegree, "_component_tables", no_tables)
+        monkeypatch.setattr(zonotope, "_component_tables", no_tables)
+        rows = lattice_csv(self.path(16)).splitlines()[1:]
+        assert len(rows) == 2 ** 15
+        assert {row.rsplit(",", 1)[1] for row in rows} == {str(f).lower() for f in flags} == {"false"}
