@@ -65,6 +65,11 @@ The commands:
   * every command that takes an INPUT on files holding JSON that is no
     object (5, 1.5, true, null, "x"), matpoly classify with the file as
     --arrangement too;
+  * strata enumerate (JSON, --format csv, --table) on a shape whose six
+    vertices carry all the escaped names above, a tab among them;
+  * every command on an INPUT that is no valid JSON, matpoly classify
+    with it as --arrangement too, and --max-edges -1 before each group
+    and before sample;
   * --help of the root command, of every group and of every subcommand.
 
 --quick drops the K5 Hasse exports and strata cr --lines 6, and keeps
@@ -99,7 +104,7 @@ ARRANGEMENTS = (
 )
 PARAM_SETS = ("7", "2", "-3/4", "1234567891/3")
 #: Vertex names that JSON must escape, or that a %-template must not read.
-ODD_NAMES = ['q"uote', "back\\slash", "café", "雪", "%d%s%%"]
+ODD_NAMES = ['q"uote', "back\\slash", "café", "雪", "%d%s%%", "tab\tline "]
 EXCERPT = 300
 #: Every group of the CLI with its subcommands; sample is a command of
 #: the root.
@@ -294,6 +299,21 @@ def _scalar_commands(folder: Path) -> list[list[str]]:
                 extra = ["--arrangement", arg] if (group, name) == ("matpoly", "classify") else []
                 cmds.append([group, name, arg, *extra])
         cmds.append(["sample", arg])
+    return cmds
+
+
+def _boundary_commands() -> list[list[str]]:
+    """strata enumerate on the all-escaped-names shape, every command on
+    invalid JSON, and the root's own --max-edges check."""
+    odd = _graph(6, [(0, 1), (0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (0, 5), (5, 5)], ODD_NAMES)
+    shape = json.dumps({"shape": {"graph": json.loads(odd), "m": 8, "n": 2}})
+    cmds = [["strata", "enumerate", shape, *extra] for extra in ([], ["--format", "csv"], ["--table"])]
+    for group, subcommands in COMMANDS.items():
+        for name in subcommands:
+            extra = ["--arrangement", "{not json"] if (group, name) == ("matpoly", "classify") else []
+            cmds.append([group, name, "{not json", *extra])
+    cmds.append(["sample", "{not json"])
+    cmds += [["--max-edges", "-1", name] for name in (*COMMANDS, "sample")]
     return cmds
 
 
@@ -537,7 +557,7 @@ def main(argv: list[str]) -> int:
         return 2
     old, new = (Path(p).resolve() for p in paths)
     with tempfile.TemporaryDirectory() as folder:
-        first = first_commands(quick) + _scalar_commands(Path(folder))
+        first = first_commands(quick) + _scalar_commands(Path(folder)) + _boundary_commands()
         old_results, differing = compare(old, new, first)
     second = second_commands(first, old_results)
     _, more = compare(old, new, second)

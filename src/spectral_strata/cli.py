@@ -2,13 +2,13 @@
 
 Every subcommand is a thin adapter over the library: parse JSON input
 (inline or from a file), call one library operation, print a deterministic
-rendering.  Validation failures exit with status 2 and a machine-readable
-error object on stderr.
+rendering.  The root group (_Root) maps the errors of every command in one
+place: validation failures exit with status 2 and a machine-readable error
+object on stderr, and a closed stdout exits with status 1.
 """
 
 from __future__ import annotations
 
-import functools
 import json
 import sys
 from itertools import chain, islice
@@ -107,19 +107,20 @@ def read_json_input(source: str) -> dict:
         raise StrataError(f"invalid JSON input: {exc}") from None
 
 
-def handle_errors(fn):
-    @functools.wraps(fn)
-    def wrapper(*args, **kwargs):
+class _Root(click.Group):
+    """The root group: it runs its own callback and every subcommand, so
+    their errors all end here.  A closed stdout exits 1; a validation
+    failure exits 2 with one JSON error object on stderr."""
+
+    def invoke(self, ctx: click.Context):
         try:
-            return fn(*args, **kwargs)
+            return super().invoke(ctx)
         except BrokenPipeError:
             sys.exit(1)
         except (StrataError, ValueError, OSError) as exc:
             payload = {"error": {"type": type(exc).__name__, "message": str(exc)}}
             click.echo(_dumps(payload), err=True)
             sys.exit(2)
-
-    return wrapper
 
 
 def _graph_from_any(obj) -> Multigraph:
@@ -225,7 +226,7 @@ def _stratum_from_obj(g: Multigraph, obj) -> _strata.StratumLabel:
     return _strata.StratumLabel(sub, divisor_from_json_obj(g, obj["divisor"]))
 
 
-@click.group()
+@click.group(cls=_Root)
 @click.option(
     "--max-edges",
     type=int,
@@ -235,7 +236,6 @@ def _stratum_from_obj(g: Multigraph, obj) -> _strata.StratumLabel:
     help="Edge cap for exhaustive enumerations (2^cap cases).",
 )
 @click.pass_context
-@handle_errors
 def main(ctx: click.Context, max_edges: int) -> None:
     """Exact combinatorics of stratified isospectral varieties."""
     if max_edges < 0:
@@ -253,7 +253,6 @@ def graph() -> None:
 
 @graph.command("indeg")
 @click.argument("input_arg", metavar="INPUT")
-@handle_errors
 def graph_indeg(input_arg: str) -> None:
     """Indegree divisor of {"graph": ..., "orientation": [[tail, head], ...]}."""
     obj = read_json_input(input_arg)
@@ -265,7 +264,6 @@ def graph_indeg(input_arg: str) -> None:
 @graph.command("bpoly")
 @click.argument("input_arg", metavar="INPUT")
 @click.pass_obj
-@handle_errors
 def graph_bpoly(max_edges: int, input_arg: str) -> None:
     """Orientation generating polynomial of a graph JSON."""
     g = _graph_from_any(read_json_input(input_arg))
@@ -274,7 +272,6 @@ def graph_bpoly(max_edges: int, input_arg: str) -> None:
 
 @graph.command("classify")
 @click.argument("input_arg", metavar="INPUT")
-@handle_errors
 def graph_classify(input_arg: str) -> None:
     """Classify {"graph": ..., "divisor": ...}."""
     obj = read_json_input(input_arg)
@@ -320,7 +317,6 @@ def zonotope() -> None:
 @click.option("--count", is_flag=True, help="Print only the number of points.")
 @click.option("--format", "fmt", type=click.Choice(["json", "csv"]), default="json")
 @click.pass_obj
-@handle_errors
 def zonotope_points(max_edges: int, input_arg, complete, count, fmt) -> None:
     """Lattice points of the graphical zonotope."""
     g = _zonotope_graph(complete, input_arg)
@@ -339,7 +335,6 @@ def zonotope_points(max_edges: int, input_arg, complete, count, fmt) -> None:
 @click.option("--complete", type=int, default=None, help="Use the complete graph K_n.")
 @click.option("--count", is_flag=True, help="Print only the number of vertices.")
 @click.pass_obj
-@handle_errors
 def zonotope_vertices_cmd(max_edges: int, input_arg, complete, count) -> None:
     """Vertices of the graphical zonotope."""
     g = _zonotope_graph(complete, input_arg)
@@ -373,7 +368,6 @@ def _table(shape: _strata.CurveShape, max_edges: int) -> Iterator[tuple]:
 )
 @click.option("--table", "as_table", is_flag=True, help="Shorthand for --format table.")
 @click.pass_obj
-@handle_errors
 def strata_enumerate(max_edges: int, input_arg, lines, fmt, as_table) -> None:
     """Enumerate all strata of a curve shape."""
     shape = _shape_from_options(lines, input_arg, max_edges)
@@ -387,14 +381,11 @@ def strata_enumerate(max_edges: int, input_arg, lines, fmt, as_table) -> None:
     if fmt == "json":
         _echo_stream(chain(_json_array(_stratum_texts(g, table)), ["\n"]))
         return
+    # json.dumps escapes a tab in a vertex name, so a tab only ever separates cells
     divisor = _strata._divisor_template(g.vertices, ",", ":")
-    decode = _strata._decoder(g)
+    cells = _strata._stratum_lines(g, table, lambda mask, dim: f"%d\t{mask}\t{divisor}\t{dim}\t%s\t%d")
     rows = [["id", "edge_bitmask", "divisor", "dimension", "class", "multiplicity"]]
-    for mask, dim, keys, flags, terms in table:
-        for key, flag in zip(keys, flags):
-            row_id = str(len(rows) - 1)
-            cls, mult = _strata._CLASS[flag], terms[key]
-            rows.append([row_id, str(mask), divisor % decode(key), str(dim), cls, str(mult)])
+    rows += (line.split("\t") for line in cells)
     widths = [max(map(len, column)) for column in zip(*rows)]
     _echo_stream("  ".join(x.ljust(w) for x, w in zip(row, widths)).rstrip() + "\n" for row in rows)
 
@@ -402,7 +393,6 @@ def strata_enumerate(max_edges: int, input_arg, lines, fmt, as_table) -> None:
 @strata.command("adjacency")
 @click.argument("input_arg", metavar="INPUT")
 @click.pass_obj
-@handle_errors
 def strata_adjacency(max_edges: int, input_arg: str) -> None:
     """Multiplicity of stratum 'upper' along stratum 'lower'.
 
@@ -419,7 +409,6 @@ def strata_adjacency(max_edges: int, input_arg: str) -> None:
 @strata.command("local")
 @click.argument("input_arg", metavar="INPUT")
 @click.pass_obj
-@handle_errors
 def strata_local(max_edges: int, input_arg: str) -> None:
     """Local census around a stratum.
 
@@ -442,7 +431,6 @@ def strata_local(max_edges: int, input_arg: str) -> None:
 @click.option("--lines", type=int, default=None)
 @click.option("--count", is_flag=True)
 @click.pass_obj
-@handle_errors
 def strata_components(max_edges: int, input_arg, lines, count) -> None:
     """Irreducible components: the top strata."""
     shape = _shape_from_options(lines, input_arg, max_edges, "b_polynomial")
@@ -457,7 +445,6 @@ def strata_components(max_edges: int, input_arg, lines, count) -> None:
 @click.argument("input_arg", metavar="[INPUT]", required=False)
 @click.option("--lines", type=int, default=None)
 @click.pass_obj
-@handle_errors
 def strata_cr(max_edges: int, input_arg, lines) -> None:
     """Completely reducible strata (the compactified-Jacobian index set)."""
     shape = _shape_from_options(lines, input_arg, max_edges)
@@ -478,7 +465,6 @@ def hasse() -> None:
 @click.argument("input_arg", metavar="INPUT")
 @click.option("--format", "fmt", type=click.Choice(["dot", "json"]), default="dot")
 @click.pass_obj
-@handle_errors
 def hasse_export(max_edges: int, input_arg: str, fmt: str) -> None:
     """Export the Hasse diagram of a graph JSON."""
     g = _graph_from_any(read_json_input(input_arg))
@@ -509,7 +495,6 @@ def matpoly() -> None:
 
 @matpoly.command("charpoly")
 @click.argument("input_arg", metavar="INPUT")
-@handle_errors
 def matpoly_charpoly(input_arg: str) -> None:
     """Characteristic bivariate polynomial of a matrix polynomial JSON."""
     from . import matpoly as _matpoly
@@ -521,7 +506,6 @@ def matpoly_charpoly(input_arg: str) -> None:
 @matpoly.command("classify")
 @click.argument("input_arg", metavar="INPUT")
 @click.option("--arrangement", "arrangement_arg", required=True, metavar="INPUT")
-@handle_errors
 def matpoly_classify(input_arg: str, arrangement_arg: str) -> None:
     """Stratum label of a matrix polynomial over a line arrangement."""
     from . import matpoly as _matpoly
@@ -534,7 +518,6 @@ def matpoly_classify(input_arg: str, arrangement_arg: str) -> None:
 
 @matpoly.command("reducibility")
 @click.argument("input_arg", metavar="INPUT")
-@handle_errors
 def matpoly_reducibility(input_arg: str) -> None:
     """Invariant-subspace classification (n <= 6)."""
     from . import matpoly as _matpoly
@@ -548,7 +531,6 @@ def matpoly_reducibility(input_arg: str) -> None:
 
 @main.command("sample")
 @click.argument("input_arg", metavar="INPUT")
-@handle_errors
 def sample(input_arg: str) -> None:
     """Sample a matrix polynomial from a stratum.
 
@@ -590,7 +572,6 @@ def run(argv) -> int:
 
 @graph.command("dot")
 @click.argument("input_arg", metavar="INPUT")
-@handle_errors
 def graph_dot(input_arg: str) -> None:
     """DOT export of a graph JSON, with arrows when an orientation is given."""
     obj = read_json_input(input_arg)

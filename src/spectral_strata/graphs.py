@@ -312,15 +312,9 @@ def degree_divisor(g: Multigraph) -> Divisor:
 
 def generating_subgraphs(g: Multigraph, max_edges: int = DEFAULT_MAX_EDGES) -> list[Subgraph]:
     """All 2^e generating subgraphs, ordered by edge-index bitmask."""
-    return list(_subgraphs(g, max_edges))
-
-
-def _subgraphs(g: Multigraph, max_edges: int) -> Iterator[Subgraph]:
-    """The generating subgraphs one at a time, each built when it is
-    reached; the cap is checked at the call."""
     ensure_cap(g.n_edges, max_edges, "generating_subgraphs")
     edges = range(g.n_edges)
-    return (Subgraph(g, frozenset(i for i in edges if mask >> i & 1)) for mask in range(1 << g.n_edges))
+    return [Subgraph(g, frozenset(i for i in edges if mask >> i & 1)) for mask in range(1 << g.n_edges)]
 
 
 def all_orientations(g: Multigraph, max_edges: int = DEFAULT_MAX_EDGES) -> Iterator[Orientation]:

@@ -23,17 +23,19 @@ D = 0.  _hasse_table keys each (bitmask, divisor) pair by the walk's key
 with the bitmask above it, so a cover is the lower key plus a fixed
 offset per (edge, head) and costs one lookup.  _local_rows walks the
 edges outside a stratum from its divisor, so its coefficients are
-relative multiplicities.  All return integer rows, (bitmask, key[,
-multiplicity]): hasse_diagram and local_model build their labels from
-them, and the CLI renders its Hasse exports (hasse_dot_lines for DOT) and
-local censuses straight from the rows, as streams, with no label per
-element.  _table_rows does each subgraph's work once: the dimension
-check and the interior flags (strict subset inequalities) of all its
-divisors in one bit-parallel pass, skipped where a vertex has degree one
-(none is interior there).  It yields each edge bitmask, its sorted keys,
-their flags (the classes) and its term map (the multiplicities), which
-cr_strata and stratum_rows turn into labels and dicts and strata_csv and
-the CLI's strata enumerate and strata cr into text, one %-template per
+relative multiplicities.  All give integer rows, (bitmask, key[,
+multiplicity]): enumerate_strata, cr_strata, hasse_diagram and
+local_model build their labels from them with _labelled, one Subgraph
+per bitmask, and the CLI renders its Hasse exports (hasse_dot_lines for
+DOT) and local censuses straight from the rows, as streams, with no
+label per element.  _table_rows does each subgraph's work once: the
+dimension check and the interior flags (strict subset inequalities) of
+all its divisors in one bit-parallel pass, skipped where a vertex has
+degree one (none is interior there).  It yields each edge bitmask, its
+sorted keys, their flags (the classes) and its term map (the
+multiplicities), which cr_strata and stratum_rows turn into labels and
+dicts, and strata_csv and the CLI's strata enumerate (every format,
+through _stratum_lines) and strata cr into text, one %-template per
 subgraph.  Keys become divisor values only there.
 irreducible_components reads b_polynomial, as its top row is one chain of
 e steps.  No flow search runs on these labels; labels from a caller are
@@ -57,7 +59,6 @@ from .graphs import (
     Divisor,
     Multigraph,
     Subgraph,
-    _subgraphs,
     ensure_cap,
 )
 from .indegree import (
@@ -183,11 +184,6 @@ def _walk(g: Multigraph, edges: Sequence[int], base: int) -> Iterator[dict]:
         yield chain[-1][1]
 
 
-def _full_walk(g: Multigraph, max_edges: int) -> Iterator[tuple[Subgraph, dict]]:
-    """(subgraph, term map) for every generating subgraph, by bitmask."""
-    return zip(_subgraphs(g, max_edges), _walk(g, range(g.n_edges), 0))
-
-
 def _edges_of(mask: int, n_edges: int) -> list[int]:
     """The edge indices of a bitmask over n_edges edges, ascending."""
     return [i for i in range(n_edges) if mask >> i & 1]
@@ -200,12 +196,11 @@ def _decoder(g: Multigraph):
 
 def enumerate_strata(c: CurveShape, max_edges: int = DEFAULT_MAX_EDGES) -> list[StratumLabel]:
     """All non-empty strata, ordered by subgraph bitmask then divisor."""
-    vertices, decode = c.dual_graph.vertices, _decoder(c.dual_graph)
-    return [
-        StratumLabel(sub, Divisor(vertices, decode(key)))
-        for sub, terms in _full_walk(c.dual_graph, max_edges)
-        for key in sorted(terms)
-    ]
+    g = c.dual_graph
+    ensure_cap(g.n_edges, max_edges, "generating_subgraphs")
+    walk = enumerate(_walk(g, range(g.n_edges), 0))
+    rows = ((mask, key) for mask, terms in walk for key in sorted(terms))
+    return [label for label, _ in _labelled(g, rows)]
 
 
 def stratum_dimension(c: CurveShape, s: StratumLabel) -> int:

@@ -3,6 +3,7 @@ family, and hypothesis strategies."""
 
 from itertools import combinations_with_replacement
 
+import click
 from hypothesis import strategies as st
 
 from spectral_strata import Divisor, Multigraph, Orientation, build_graph
@@ -70,3 +71,13 @@ def graphs_with_orientations(draw, max_vertices=4, max_edges=5, loops=True):
     g = draw(multigraphs(max_vertices, max_edges, loops))
     flips = draw(st.tuples(*[st.booleans() for _ in range(g.n_edges)]))
     return g, Orientation(g, flips)
+
+
+def leaf_commands(group, path=()):
+    """The path of every command under a click group that is no group
+    itself, so a command added later is listed with no edit here."""
+    for name, command in group.commands.items():
+        if isinstance(command, click.Group):
+            yield from leaf_commands(command, (*path, name))
+        else:
+            yield (*path, name)

@@ -10,7 +10,10 @@ import pytest
 from click.testing import CliRunner
 
 from spectral_strata.cli import main
-from spectral_strata.graphs import complete_graph
+from spectral_strata.errors import StrataError
+from spectral_strata.graphs import complete_graph, graph_to_json_obj
+
+from helpers import leaf_commands
 
 K3_GRAPH = {
     "vertices": ["v1", "v2", "v3"],
@@ -445,6 +448,15 @@ class TestStreamedOutputIsTheLibraryText:
             m = max(g.n_edges, 1)
             shape_obj = {"shape": {"graph": graph_to_json_obj(g), "m": m, "n": 2}}
             self.assert_enumerate(CurveShape(g, m, 2), [json.dumps(shape_obj)])
+
+    def test_enumerate_all_odd_names(self):
+        # every name at once, so the tab name reaches --table, whose cells
+        # are split at tabs
+        from spectral_strata import CurveShape, Multigraph, graph_to_json_obj
+
+        g = Multigraph(ODD_NAMES, ((0, 1), (0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (0, 5), (5, 5)))
+        shape_obj = {"shape": {"graph": graph_to_json_obj(g), "m": g.n_edges, "n": 2}}
+        self.assert_enumerate(CurveShape(g, g.n_edges, 2), [json.dumps(shape_obj)])
 
     @pytest.mark.parametrize("chunk", [1, 4096])
     def test_cr_lines(self, monkeypatch, chunk):
@@ -1007,3 +1019,74 @@ class TestAdjacencyCap:
                 "message": "relative_multiplicity: 10 edges exceed the enumeration cap 3",
             }
         }
+
+
+LEAVES = list(leaf_commands(main))
+MAPPED = (StrataError, ValueError, OSError)
+
+
+def leaf_argv(path):
+    """path with INPUT {}, and --arrangement {} where it is required."""
+    extra = ["--arrangement", "{}"] if path == ("matpoly", "classify") else []
+    return [*path, "{}", *extra]
+
+
+class TestOneErrorBoundary:
+    """The root group maps every command's errors: each leaf of the click
+    tree, made to fail where it reads its input, exits 2 with one JSON
+    error line, or 1 with nothing on stderr for a closed stdout."""
+
+    def test_the_walk_finds_every_command(self):
+        assert len(LEAVES) >= 16
+        assert {("graph", "dot"), ("matpoly", "classify"), ("sample",)} <= set(LEAVES)
+
+    @pytest.mark.parametrize("kind", MAPPED, ids=lambda kind: kind.__name__)
+    @pytest.mark.parametrize("path", LEAVES, ids=" ".join)
+    def test_mapped_error_exits_2(self, monkeypatch, path, kind):
+        from spectral_strata import cli
+
+        def fail(source):
+            raise kind(f"{kind.__name__} while reading {source}")
+
+        monkeypatch.setattr(cli, "read_json_input", fail)
+        result = run(*leaf_argv(path))
+        assert result.exit_code == 2
+        error = {"type": kind.__name__, "message": f"{kind.__name__} while reading {{}}"}
+        assert result.stderr == json.dumps({"error": error}) + "\n"
+
+    @pytest.mark.parametrize("path", LEAVES, ids=" ".join)
+    def test_broken_pipe_exits_1(self, monkeypatch, path):
+        from spectral_strata import cli
+
+        def fail(source):
+            raise BrokenPipeError
+
+        monkeypatch.setattr(cli, "read_json_input", fail)
+        result = run(*leaf_argv(path))
+        assert result.exit_code == 1
+        assert result.stderr == ""
+
+    @pytest.mark.parametrize(
+        "argv, head",
+        [
+            (["strata", "enumerate", "--lines", "5"], 10),
+            (["strata", "enumerate", "--lines", "5", "--table"], 10),
+            (["hasse", "export", json.dumps(graph_to_json_obj(complete_graph(5)))], 10),
+            # one write of the whole text, which a reader leaving in the middle
+            # was seen to end with no error, so the pipe is closed before it
+            (["zonotope", "points", "--complete", "6"], 0),
+        ],
+    )
+    def test_closed_stdout_exits_1(self, argv, head):
+        import spectral_strata
+
+        src = str(Path(spectral_strata.__file__).resolve().parent.parent)
+        script = "import sys; sys.path.insert(0, sys.argv.pop(1)); from spectral_strata.cli import main; main()"
+        proc = subprocess.Popen(
+            [sys.executable, "-c", script, src, *argv], stdout=subprocess.PIPE, stderr=subprocess.PIPE
+        )
+        assert len(proc.stdout.read(head)) == head
+        proc.stdout.close()
+        _, stderr = proc.communicate(timeout=60)
+        assert proc.returncode == 1
+        assert stderr == b""

@@ -45,7 +45,7 @@ from spectral_strata.indegree import (
     _key_codec,
     _totally_cyclic,
 )
-from spectral_strata.strata import _full_walk, _table_rows, _walk
+from spectral_strata.strata import _table_rows, _walk
 
 from helpers import divisor, make_e2, make_k3, make_k4, make_loop, multigraphs, pair_types
 
@@ -429,7 +429,7 @@ def tuple_keyed_covers(g):
     (bitmask, exponent) and builds each target by slicing the exponent."""
     _, decode = _key_codec(g.n_vertices, _key_bits(g.n_edges))
     index = {}
-    for mask, (_, terms) in enumerate(_full_walk(g, g.n_edges)):
+    for mask, terms in enumerate(_walk(g, range(g.n_edges), 0)):
         for expo in sorted(map(decode, terms)):
             index[mask, expo] = len(index)
     covers = []
@@ -662,7 +662,7 @@ class TestPerSubgraphKernels:
             }
             bits = _key_bits(g.n_edges)
             _, decode = _key_codec(g.n_vertices, bits)
-            for sub, terms in _full_walk(g, g.n_edges):
+            for sub, terms in zip(generating_subgraphs(g, g.n_edges), _walk(g, range(g.n_edges), 0)):
                 graph = sub.as_multigraph()
                 keys = sorted(terms)
                 expos = list(map(decode, keys))
