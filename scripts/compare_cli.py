@@ -7,12 +7,14 @@ OLD_SRC and NEW_SRC are directories holding the spectral_strata package
 (a checkout's src/).  Each tree runs every command in one worker
 interpreter with that tree first on sys.path; a command runs in-process
 as the console script would, with stdout and stderr captured as bytes.
-Paths of the tree are replaced by "<src>" in the captured text, so
-tracebacks compare equal when only the checkout differs.
+Paths of the tree are replaced by "<src>" in the captured stderr, so
+tracebacks compare equal when only the checkout differs; stdout is
+hashed as it is written, and only its first 64 KiB are kept.
 
 The commands:
-  * hasse export (dot and json) on K1..K5, on K5 in seeded edge orders,
+  * hasse export (dot and json) on K1..K6, on K5 in seeded edge orders,
     and on seeded multigraphs (parallel edges, loops, isolated vertices);
+    K6's DOT is 2.0 GB, so stdout is hashed as it is written, not held;
   * zonotope points|vertices --complete -1..7, plain, with --count and
     with --format csv, and on the seeded multigraphs;
   * strata local at the strata the lattice-hasse benchmark asks for, at
@@ -72,7 +74,7 @@ The commands:
     and before sample;
   * --help of the root command, of every group and of every subcommand.
 
---quick drops the K5 Hasse exports and strata cr --lines 6, and keeps
+--quick drops the K5 and K6 Hasse exports and strata cr --lines 6, and keeps
 the first two benchmark seeds.  Exit status: 0 when every command agrees, 1 otherwise.  Uses the
 standard library only; the worker imports the package under test.
 """
@@ -106,6 +108,9 @@ PARAM_SETS = ("7", "2", "-3/4", "1234567891/3")
 #: Vertex names that JSON must escape, or that a %-template must not read.
 ODD_NAMES = ['q"uote', "back\\slash", "café", "雪", "%d%s%%", "tab\tline "]
 EXCERPT = 300
+#: Bytes of a command's stdout kept whole; the matpoly phase reads a
+#: sample's stdout, and a short one is kept whole.
+HEAD = 1 << 16
 #: Every group of the CLI with its subcommands; sample is a command of
 #: the root.
 COMMANDS = {
@@ -326,6 +331,8 @@ def first_commands(quick: bool) -> list[list[str]]:
         for seed in range(2):
             order = random.Random(seed).sample(_complete_edges(5), 10)
             cmds.append(["hasse", "export", _graph(5, order)])
+        for fmt in ("dot", "json"):
+            cmds.append(["hasse", "export", _graph(6, _complete_edges(6)), "--format", fmt])
     for k, edges in _multigraphs(12, loops=False):
         for fmt in ("dot", "json"):
             cmds.append(["hasse", "export", _graph(k, edges), "--format", fmt])
@@ -483,10 +490,27 @@ def second_commands(first: list[list[str]], results: list[dict]) -> list[list[st
 # worker: runs inside the tree under test
 
 
+class _Digest(io.RawIOBase):
+    """A byte sink that hashes all it takes and keeps the first HEAD bytes."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.sha256 = hashlib.sha256()
+        self.head = bytearray()
+
+    def writable(self) -> bool:
+        return True
+
+    def write(self, data) -> int:
+        self.sha256.update(data)
+        self.head += data[: HEAD - len(self.head)]
+        return len(data)
+
+
 def _capture(main, argv: list[str], src: str) -> dict:
-    out, err = io.BytesIO(), io.BytesIO()
+    out, err = _Digest(), io.BytesIO()
     saved = sys.stdout, sys.stderr
-    sys.stdout = io.TextIOWrapper(out, encoding="utf-8", newline="")
+    sys.stdout = io.TextIOWrapper(io.BufferedWriter(out), encoding="utf-8", newline="")
     sys.stderr = io.TextIOWrapper(err, encoding="utf-8", newline="")
     try:
         main(args=argv, prog_name="spectral-strata")
@@ -498,16 +522,15 @@ def _capture(main, argv: list[str], src: str) -> dict:
         code = 1
     finally:
         # detach, so that dropping the wrappers does not close the buffers
-        sys.stdout.detach()
+        sys.stdout.detach().flush()
         sys.stderr.detach()
         sys.stdout, sys.stderr = saved
-    stdout = out.getvalue().replace(src.encode(), b"<src>")
+    # the tree's paths reach stderr (tracebacks); stdout is hashed as written
     stderr = err.getvalue().replace(src.encode(), b"<src>")
     return {
         "code": code,
-        "sha256": hashlib.sha256(stdout).hexdigest(),
-        # the matpoly phase reads a sample's stdout, so short ones are kept whole
-        "stdout": stdout.decode("utf-8", "backslashreplace")[: 1 << 16],
+        "sha256": out.sha256.hexdigest(),
+        "stdout": bytes(out.head).decode("utf-8", "backslashreplace"),
         "stderr": stderr.decode("utf-8", "backslashreplace"),
     }
 

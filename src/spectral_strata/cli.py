@@ -13,7 +13,7 @@ import json
 import sys
 from itertools import chain, islice
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 import click
 
@@ -36,8 +36,10 @@ from . import strata as _strata
 from . import zonotope as _zonotope
 
 JSON_SEPARATORS = (", ", ": ")
-#: Pieces (DOT lines, JSON array items) of a streamed output written per
-#: chunk, so the whole text is never held in memory at once.
+#: Pieces of a streamed output written per chunk, so the whole text is
+#: never held in memory at once.  A piece is a DOT line or a JSON array
+#: item, or the covers of one Hasse element, which may be several lines
+#: or items.
 DOT_CHUNK_LINES = 4096
 
 
@@ -46,10 +48,27 @@ def _dumps(obj) -> str:
 
 
 def _echo_stream(pieces: Iterable[str]) -> None:
-    """Write the pieces to stdout, DOT_CHUNK_LINES of them per chunk."""
+    """Write the pieces to stdout, DOT_CHUNK_LINES of them per chunk, each
+    chunk whole (_write_whole)."""
+    out = sys.stdout
+    out.flush()
     pieces = iter(pieces)
-    while chunk := list(islice(pieces, DOT_CHUNK_LINES)):
-        click.echo("".join(chunk), nl=False)
+    # a chunk is its first piece and up to DOT_CHUNK_LINES - 1 more; no
+    # list of them, nor the text of the last chunk, is kept beside the text
+    for first in pieces:
+        chunk = chain([first], islice(pieces, DOT_CHUNK_LINES - 1))
+        _write_whole(out.buffer, "".join(chunk).encode(out.encoding, out.errors))
+
+
+def _write_whole(buffer, data: bytes) -> None:
+    """Write data to a byte stream and flush it, writing again until all
+    of it is taken.  A pipe takes a large block in parts, and a text
+    stream drops the rest, with no error, if the reader leaves in
+    between; the next write here raises BrokenPipeError instead."""
+    view = memoryview(data)
+    while view:
+        view = view[buffer.write(view):]
+    buffer.flush()
 
 
 def _json_array(items: Iterable[str]) -> Iterator[str]:
@@ -61,11 +80,12 @@ def _json_array(items: Iterable[str]) -> Iterator[str]:
     yield "]"
 
 
-def _label_texts(g: Multigraph, rows: Iterable[tuple]) -> Iterator[str]:
+def _label_texts(g: Multigraph, rows: Iterable[tuple]) -> Iterator[tuple[str, tuple]]:
     """For rows (edge bitmask, exponent key, ...) in bitmask order: the
     _dumps text of each {"subgraph": [...], "divisor": {...}} object
-    without its closing brace.  Vertex names are encoded once, into a
-    %-template of the divisor, and each subgraph's prefix once."""
+    without its closing brace, with its row.  Vertex names are encoded
+    once, into a %-template of the divisor, and each subgraph's prefix
+    once."""
     divisor = _strata._divisor_template(g.vertices)
     decode = _strata._decoder(g)
     mask = template = None
@@ -74,7 +94,23 @@ def _label_texts(g: Multigraph, rows: Iterable[tuple]) -> Iterator[str]:
             mask = row[0]
             edges = _dumps(_strata._edges_of(mask, g.n_edges))
             template = '{"subgraph": ' + edges + ', "divisor": ' + divisor
-        yield template % decode(row[1])
+        yield template % decode(row[1]), row
+
+
+def _divisor_texts(g: Multigraph, keys: Iterable[int]) -> Iterator[str]:
+    """The _dumps text of the list of the divisors with these exponent
+    keys, then a newline, filled into one %-template."""
+    divisor = _strata._divisor_template(g.vertices)
+    decode = _strata._decoder(g)
+    return chain(_json_array(divisor % decode(key) for key in keys), ["\n"])
+
+
+def _cover_texts(covers: Iterable[tuple[int, Sequence[int]]]) -> Iterator[str]:
+    """For covers by lower element (lower, uppers): the _dumps texts of
+    its pairs [lower, upper], joined by ", ", one piece per element."""
+    for a, uppers in covers:
+        head = f"[{a}, "
+        yield head + ("], " + head).join(map(str, uppers)) + "]"
 
 
 def _stratum_texts(g: Multigraph, table: Iterable[tuple]) -> Iterator[str]:
@@ -267,7 +303,7 @@ def graph_indeg(input_arg: str) -> None:
 def graph_bpoly(max_edges: int, input_arg: str) -> None:
     """Orientation generating polynomial of a graph JSON."""
     g = _graph_from_any(read_json_input(input_arg))
-    click.echo(_dumps(_indegree.b_polynomial(g, max_edges).to_json_obj()))
+    _echo_stream([_dumps(_indegree.b_polynomial(g, max_edges).to_json_obj()) + "\n"])
 
 
 @graph.command("classify")
@@ -321,13 +357,15 @@ def zonotope_points(max_edges: int, input_arg, complete, count, fmt) -> None:
     """Lattice points of the graphical zonotope."""
     g = _zonotope_graph(complete, input_arg)
     if fmt == "csv" and not count:
-        click.echo(_zonotope.lattice_csv(g, max_edges), nl=False)
+        _echo_stream([_zonotope.lattice_csv(g, max_edges)])
         return
-    points = _zonotope.lattice_points(g, max_edges)
+    # the points are the b-polynomial's exponents (zonotope.lattice_points)
+    ensure_cap(g.n_edges, max_edges, "lattice_points")
+    terms = _indegree._bpoly_terms(g)
     if count:
-        click.echo(str(len(points)))
+        click.echo(str(len(terms)))
         return
-    click.echo(_dumps([d.to_mapping() for d in points]))
+    _echo_stream(_divisor_texts(g, sorted(terms)))
 
 
 @zonotope.command("vertices")
@@ -338,11 +376,11 @@ def zonotope_points(max_edges: int, input_arg, complete, count, fmt) -> None:
 def zonotope_vertices_cmd(max_edges: int, input_arg, complete, count) -> None:
     """Vertices of the graphical zonotope."""
     g = _zonotope_graph(complete, input_arg)
-    verts = _zonotope.zonotope_vertices(g, max_edges)
+    keys = _zonotope._vertex_keys(g, max_edges)
     if count:
-        click.echo(str(len(verts)))
+        click.echo(str(len(keys)))
         return
-    click.echo(_dumps([d.to_mapping() for d in verts]))
+    _echo_stream(_divisor_texts(g, keys))
 
 
 # ---------------------------------------------------------------------------
@@ -419,10 +457,7 @@ def strata_local(max_edges: int, input_arg: str) -> None:
     shape = _shape_from_obj(obj)
     s = _stratum_from_obj(shape.dual_graph, obj.get("stratum"))
     p, q, rows = _strata._local_rows(shape, s, max_edges)
-    census = (
-        f'{text}, "multiplicity": {row[2]}}}'
-        for text, row in zip(_label_texts(shape.dual_graph, rows), rows)
-    )
+    census = (f'{text}, "multiplicity": {row[2]}}}' for text, row in _label_texts(shape.dual_graph, rows))
     _echo_stream(chain([f'{{"p": {p}, "q": {q}, "census": '], _json_array(census), ["}\n"]))
 
 
@@ -438,7 +473,7 @@ def strata_components(max_edges: int, input_arg, lines, count) -> None:
     if count:
         click.echo(str(len(comps)))
         return
-    click.echo(_dumps([_strata.classification_to_json_obj(s) for s in comps]))
+    _echo_stream([_dumps([_strata.classification_to_json_obj(s) for s in comps]) + "\n"])
 
 
 @strata.command("cr")
@@ -449,7 +484,7 @@ def strata_cr(max_edges: int, input_arg, lines) -> None:
     """Completely reducible strata (the compactified-Jacobian index set)."""
     shape = _shape_from_options(lines, input_arg, max_edges)
     rows = _strata._cr_rows(_table(shape, max_edges))
-    texts = (text + "}" for text in _label_texts(shape.dual_graph, rows))
+    texts = (text + "}" for text, _ in _label_texts(shape.dual_graph, rows))
     _echo_stream(chain(_json_array(texts), ["\n"]))
 
 
@@ -472,14 +507,14 @@ def hasse_export(max_edges: int, input_arg: str, fmt: str) -> None:
     if fmt == "dot":
         decode = _strata._decoder(g)
         labels = ((mask, decode(key)) for mask, key in elements)
-        _echo_stream(_strata.hasse_dot_lines(labels, covers))
+        _echo_stream(_strata._hasse_dot(labels, covers, "hasse"))
         return
     _echo_stream(
         chain(
             ['{"elements": '],
-            _json_array(text + "}" for text in _label_texts(g, elements)),
+            _json_array(text + "}" for text, _ in _label_texts(g, elements)),
             [', "covers": '],
-            _json_array(f"[{a}, {b}]" for a, b in covers),
+            _json_array(_cover_texts(covers)),
             ["}\n"],
         )
     )

@@ -19,16 +19,19 @@ edge, by the step b_polynomial also folds.  A term map sends an exponent
 key, one integer whose digits are the exponents (indegree._key_codec), to
 its coefficient, and adding an edge adds the key of its head.
 enumerate_strata, _table_rows and _hasse_table walk all edges from
-D = 0.  _hasse_table keys each (bitmask, divisor) pair by the walk's key
-with the bitmask above it, so a cover is the lower key plus a fixed
-offset per (edge, head) and costs one lookup.  _local_rows walks the
-edges outside a stratum from its divisor, so its coefficients are
-relative multiplicities.  All give integer rows, (bitmask, key[,
-multiplicity]): enumerate_strata, cr_strata, hasse_diagram and
-local_model build their labels from them with _labelled, one Subgraph
-per bitmask, and the CLI renders its Hasse exports (hasse_dot_lines for
-DOT) and local censuses straight from the rows, as streams, with no
-label per element.  _table_rows does each subgraph's work once: the
+D = 0.  _hasse_table numbers each (bitmask, divisor) pair by the offset
+of its bitmask, from a counting walk, plus its rank among the bitmask's
+sorted keys.  Its covers come from a second walk: the keys of M plus one
+edge are the merge of the keys of M shifted by the place of either end,
+so ranking that merge gives the covers of M, with no index of all
+elements.  _local_rows walks the edges outside a stratum from its
+divisor, so its coefficients are relative multiplicities.  All give
+integer rows, (bitmask, key[, multiplicity]), lazily, from one chain of
+term maps: enumerate_strata, cr_strata, hasse_diagram and local_model
+build their labels from them with _labelled, one Subgraph per bitmask,
+and the CLI renders its Hasse exports (_hasse_dot for DOT) and local
+censuses straight from the rows, as streams, with no label per
+element.  _table_rows does each subgraph's work once: the
 dimension check and the interior flags (strict subset inequalities) of
 all its divisors in one bit-parallel pass, skipped where a vertex has
 degree one (none is interior there).  It yields each edge bitmask, its
@@ -48,7 +51,7 @@ import io
 import csv as _csv
 import json
 from dataclasses import dataclass
-from itertools import compress, groupby
+from itertools import accumulate, compress, count, groupby
 from math import factorial
 from operator import itemgetter
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -231,11 +234,12 @@ def adjacency_multiplicity(
 
 def _local_rows(
     c: CurveShape, s2: StratumLabel, max_edges: int
-) -> tuple[int, int, list[tuple[int, int, int]]]:
-    """p, q and the local census around s2 as rows (edge bitmask, exponent
-    key, multiplicity), ordered by (bitmask, divisor).  The rows are the
-    walk over the p edges outside s2 from the divisor of s2: each
-    coefficient is a relative multiplicity along s2."""
+) -> tuple[int, int, Iterator[tuple[int, int, int]]]:
+    """p, q and an iterator over the local census around s2 as rows (edge
+    bitmask, exponent key, multiplicity), ordered by (bitmask, divisor).
+    The checks run before it returns.  The rows are the walk over the p
+    edges outside s2 from the divisor of s2: each coefficient is a
+    relative multiplicity along s2."""
     _validate_stratum(c, s2)
     g = c.dual_graph
     p = g.n_edges - s2.subgraph.n_edges
@@ -244,13 +248,19 @@ def _local_rows(
     rest = [i for i in range(g.n_edges) if not base >> i & 1]
     ensure_cap(len(rest), max_edges, "local_model")
     encode, _ = _key_codec(g.n_vertices, _key_bits(g.n_edges))
-    rows: list[tuple[int, int, int]] = []
+    walk = _walk(g, rest, encode(s2.divisor.values))
+    return p, q, _census_rows(walk, base, rest)
+
+
+def _census_rows(walk: Iterator[dict], base: int, rest: Sequence[int]) -> Iterator[tuple[int, int, int]]:
+    """The rows of _local_rows from its walk over the edges rest outside
+    the bitmask base."""
     # ascending masks over the rest bits give ascending full bitmasks, so
     # the rows come out in canonical order without re-sorting
-    for mask, terms in enumerate(_walk(g, rest, encode(s2.divisor.values))):
+    for mask, terms in enumerate(walk):
         full = base | sum(1 << e for i, e in enumerate(rest) if mask >> i & 1)
-        rows += [(full, key, terms[key]) for key in sorted(terms)]
-    return p, q, rows
+        for key in sorted(terms):
+            yield full, key, terms[key]
 
 
 def _labelled(g: Multigraph, rows: Iterable[tuple]) -> Iterator[tuple[StratumLabel, tuple]]:
@@ -282,42 +292,44 @@ def irreducible_components(c: CurveShape, max_edges: int = DEFAULT_MAX_EDGES) ->
 
 def _hasse_table(
     g: Multigraph, max_edges: int
-) -> tuple[list[tuple[int, int]], Iterator[tuple[int, int]]]:
-    """The Hasse diagram of a loopless graph as integer rows: its elements
-    as (edge bitmask, exponent key) in (bitmask, divisor) order, and an
-    iterator over its covers as index pairs (lower, upper) in index order.
+) -> tuple[Iterator[tuple[int, int]], Iterator[tuple[int, tuple[int, ...]]]]:
+    """The Hasse diagram of a loopless graph as integer rows: an iterator
+    over its elements as (edge bitmask, exponent key) in (bitmask, divisor)
+    order, and one over its covers by lower element, as (index, upper
+    indices), in index order.  The checks run before it returns.
 
-    A pair (mask, key) is keyed by mask shifted above the key's n digits,
-    so keys ascend in element order.  Adding edge i with head h adds
-    2^i shifted the same way plus the key of x_h: the covers of a pair are
-    one lookup each of its key plus its subgraph's offsets, and with the
-    offsets sorted they come out in index order."""
+    Element (M, key) has index offset[M] plus the rank of key among the
+    sorted keys of M.  A counting walk gives the 2^e + 1 offsets; no index
+    of the elements is kept.  Each iterator is a walk of its own, with one
+    chain of term maps in memory (see _hasse_covers)."""
     if any(u == v for u, v in g.edges):
         raise StrataError("hasse_diagram requires a loopless graph")
     ensure_cap(g.n_edges, max_edges, "generating_subgraphs")
-    bits = _key_bits(g.n_edges)
-    width = g.n_vertices * bits
-    place = _places(g.n_vertices, bits)
-    elements: list[tuple[int, int]] = []
-    index: dict[int, int] = {}
-    # per subgraph bitmask: the sorted offsets of its covers
-    offsets: list[list[int]] = []
+    edges = range(g.n_edges)
+    offset = list(accumulate(map(len, _walk(g, edges, 0)), initial=0))
+    elements = ((mask, key) for mask, terms in enumerate(_walk(g, edges, 0)) for key in sorted(terms))
+    return elements, _hasse_covers(g, offset)
+
+
+def _hasse_covers(g: Multigraph, offset: Sequence[int]) -> Iterator[tuple[int, tuple[int, ...]]]:
+    """The covers of _hasse_table per lower element: edge ascending, then
+    head by place.  Adding edge t to M with head h adds the place of h to
+    a key, so with lo and hi the places of t's ends, the keys of M + t are
+    the merge of a = keys of M + lo and b = keys of M + hi.  Ranking that
+    merge from offset[M + t] gives the upper indices, read at a and b."""
+    place = _places(g.n_vertices, _key_bits(g.n_edges))
+    ends = [sorted((place[u], place[v])) for u, v in g.edges]
     for mask, terms in enumerate(_walk(g, range(g.n_edges), 0)):
-        offsets.append(sorted(
-            (1 << i + width) + place[head]
-            for i, (u, v) in enumerate(g.edges)
-            if not mask >> i & 1
-            for head in (u, v)
-        ))
-        for key in sorted(terms):
-            index[mask << width | key] = len(elements)
-            elements.append((mask, key))
-    covers = (
-        (i, index[(mask << width | key) + d])
-        for i, (mask, key) in enumerate(elements)
-        for d in offsets[mask]
-    )
-    return elements, covers
+        keys = sorted(terms)
+        columns = []
+        for t, (lo, hi) in enumerate(ends):
+            if mask >> t & 1:
+                continue
+            a = [key + lo for key in keys]
+            b = [key + hi for key in keys]
+            rank = dict(zip(dict.fromkeys(sorted(a + b)), count(offset[mask | 1 << t])))
+            columns += (list(map(rank.__getitem__, a)), list(map(rank.__getitem__, b)))
+        yield from enumerate(zip(*columns), offset[mask])
 
 
 def hasse_diagram(g: Multigraph, max_edges: int = DEFAULT_MAX_EDGES) -> StrataPoset:
@@ -326,7 +338,7 @@ def hasse_diagram(g: Multigraph, max_edges: int = DEFAULT_MAX_EDGES) -> StrataPo
     walk over all edges (see _hasse_table)."""
     elements, covers = _hasse_table(g, max_edges)
     labels = tuple(label for label, _ in _labelled(g, elements))
-    return StrataPoset(labels, tuple(covers))
+    return StrataPoset(labels, tuple((i, j) for i, uppers in covers for j in uppers))
 
 
 def path_count_multiplicity(p: StrataPoset, s1: StratumLabel, s2: StratumLabel) -> int:
@@ -514,13 +526,29 @@ def hasse_dot_lines(
     """The lines of the DOT text of a Hasse diagram given as its elements
     (edge bitmask, divisor values) and its covers (lower, upper), each line
     ending in a newline."""
+    return _hasse_dot(elements, ((a, (b,)) for a, b in covers), name)
+
+
+def _hasse_dot(
+    elements: Iterable[tuple[int, Sequence[int]]],
+    covers: Iterable[tuple[int, Sequence[int]]],
+    name: str,
+) -> Iterator[str]:
+    """The DOT text of hasse_dot_lines with covers by lower element
+    (lower, uppers), as in _hasse_table: one piece per node, from one
+    %-template per bitmask, and one per lower element, its covers' lines
+    joined."""
     yield f"digraph {name} {{\n"
     yield "  rankdir=BT;\n"
+    last = None
     for i, (mask, values) in enumerate(elements):
-        label = f"{mask}|{','.join(map(str, values))}"
-        yield f'  n{i} [label="{label}"];\n'
-    for a, b in covers:
-        yield f"  n{a} -> n{b};\n"
+        if mask != last:
+            last = mask
+            node = f'  n%d [label="{mask}|' + ",".join(["%d"] * len(values)) + '"];\n'
+        yield node % (i, *values)
+    for a, uppers in covers:
+        head = f"  n{a} -> n"
+        yield head + (";\n" + head).join(map(str, uppers)) + ";\n"
     yield "}\n"
 
 

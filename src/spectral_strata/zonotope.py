@@ -83,12 +83,16 @@ def zonotope_vertices(g: Multigraph, max_edges: int = DEFAULT_MAX_EDGES) -> list
     So the coefficient is 2^L at the vertices and a larger multiple of 2^L
     at every other exponent.
     """
-    ensure_cap(g.n_edges, max_edges, "zonotope_vertices")
-    terms = _bpoly_terms(g)
-    least = 1 << sum(u == v for u, v in g.edges)
     _, decode = _key_codec(g.n_vertices, _key_bits(g.n_edges))
-    keys = sorted(key for key, coeff in terms.items() if coeff == least)
-    return [Divisor(g.vertices, decode(key)) for key in keys]
+    return [Divisor(g.vertices, decode(key)) for key in _vertex_keys(g, max_edges)]
+
+
+def _vertex_keys(g: Multigraph, max_edges: int) -> list[int]:
+    """The exponent keys of zonotope_vertices, sorted: those of least
+    coefficient, 2^L, in g's b-polynomial."""
+    ensure_cap(g.n_edges, max_edges, "zonotope_vertices")
+    least = 1 << sum(u == v for u, v in g.edges)
+    return sorted(key for key, coeff in _bpoly_terms(g).items() if coeff == least)
 
 
 def is_interior(g: Multigraph, d: Divisor) -> bool:

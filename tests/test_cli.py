@@ -11,7 +11,7 @@ from click.testing import CliRunner
 
 from spectral_strata.cli import main
 from spectral_strata.errors import StrataError
-from spectral_strata.graphs import complete_graph, graph_to_json_obj
+from spectral_strata.graphs import Multigraph, complete_graph, graph_to_json_obj
 
 from helpers import leaf_commands
 
@@ -29,6 +29,8 @@ ORB2 = {
     "n": 2,
     "coeffs": [[["0", "5"], ["0", "1"]], [["0", "0"], ["0", "1"]]],
 }
+# 20 edges, the default cap, with 4,320 zonotope vertices
+K7_LESS_AN_EDGE = Multigraph(complete_graph(7).vertices, complete_graph(7).edges[1:])
 # a degree-two polynomial whose char poly is the product of the lines
 # mu = lambda and mu = 1 + 2 lambda, and whose divisor is no indegree
 # divisor of its eigenvector subgraph
@@ -1075,6 +1077,13 @@ class TestOneErrorBoundary:
             # one write of the whole text, which a reader leaving in the middle
             # was seen to end with no error, so the pipe is closed before it
             (["zonotope", "points", "--complete", "6"], 0),
+            # texts larger than a pipe holds (64 KiB), left in the middle
+            (["zonotope", "points", "--complete", "6"], 10),
+            # K6's 720 vertices fit in the pipe whole, so K7 less an edge
+            (["zonotope", "vertices", json.dumps(graph_to_json_obj(K7_LESS_AN_EDGE))], 10),
+            (["strata", "components", "--lines", "6"], 10),
+            (["strata", "local", json.dumps({"lines": 5, "stratum": {"subgraph": [], "divisor": {}}})], 10),
+            (["hasse", "export", "--format", "json", json.dumps(graph_to_json_obj(complete_graph(5)))], 10),
         ],
     )
     def test_closed_stdout_exits_1(self, argv, head):
@@ -1090,3 +1099,46 @@ class TestOneErrorBoundary:
         _, stderr = proc.communicate(timeout=60)
         assert proc.returncode == 1
         assert stderr == b""
+
+
+class _Sink(io.RawIOBase):
+    """A byte stream that takes every write whole and keeps nothing."""
+
+    def writable(self):
+        return True
+
+    def write(self, data):
+        return len(data)
+
+
+class TestStreamedMemory:
+    """The largest outputs stream: written into a sink, each request's
+    traced allocations peak far below its text, whatever the text's size
+    (K5's DOT alone is over 6 MB)."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["hasse", "export", json.dumps(graph_to_json_obj(complete_graph(5)))],
+            ["hasse", "export", "--format", "json", json.dumps(graph_to_json_obj(complete_graph(5)))],
+            ["strata", "local", json.dumps({"lines": 5, "stratum": {"subgraph": [], "divisor": {}}})],
+            ["zonotope", "points", "--complete", "6"],
+        ],
+        ids=["hasse-dot", "hasse-json", "local0", "points"],
+    )
+    def test_peak_under_4_mib(self, monkeypatch, argv):
+        import tracemalloc
+
+        from spectral_strata import cli, indegree
+
+        # the b-polynomial cache would hide the points' term map
+        indegree._bpoly_terms.cache_clear()
+        monkeypatch.setattr(sys, "stdout", io.TextIOWrapper(io.BufferedWriter(_Sink()), encoding="utf-8"))
+        tracemalloc.start()
+        try:
+            code = cli.run(argv)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert peak < 4 << 20

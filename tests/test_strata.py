@@ -444,6 +444,25 @@ def tuple_keyed_covers(g):
     return tuple(covers)
 
 
+def covers_from_elements(g, elements):
+    """Covers recomputed from the elements alone, by brute force: (M, D)
+    is covered by (M + i, D + e_h) for each edge i outside M and each
+    end h of i, looked up by (bitmask, divisor values), in the order lower
+    index, then upper index."""
+    index = {(s.subgraph.bitmask, s.divisor.values): j for j, s in enumerate(elements)}
+    covers = set()
+    for j, s in enumerate(elements):
+        mask = s.subgraph.bitmask
+        for i in range(g.n_edges):
+            if mask >> i & 1:
+                continue
+            for h in g.edges[i]:
+                values = list(s.divisor.values)
+                values[h] += 1
+                covers.add((j, index[mask | 1 << i, tuple(values)]))
+    return sorted(covers)
+
+
 def shuffled_complete_graph(n, seed):
     k = complete_graph(n)
     edges = list(k.edges)
@@ -547,6 +566,20 @@ class TestTableAgainstLabelByLabel:
         assert any(len(set(g.edges)) < g.n_edges for g in family)
         for g in family:
             assert hasse_diagram(g).cover_relations == tuple_keyed_covers(g)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_streamed_covers_complete_graphs(self, n):
+        g = complete_graph(n)
+        poset = hasse_diagram(g)
+        assert list(poset.cover_relations) == covers_from_elements(g, poset.elements)
+
+    def test_streamed_covers_seeded_multigraphs(self):
+        family = list(seeded_multigraphs(60, loops=False))
+        assert any(len(set(g.edges)) < g.n_edges for g in family)
+        assert any(len({x for e in g.edges for x in e}) < g.n_vertices for g in family)
+        for g in family:
+            poset = hasse_diagram(g)
+            assert list(poset.cover_relations) == covers_from_elements(g, poset.elements)
 
     @pytest.mark.parametrize("lines", [1, 2, 3])
     def test_local_census_lines(self, lines):
