@@ -5,6 +5,11 @@ Every subcommand is a thin adapter over the library: parse JSON input
 rendering.  The root group (_Root) maps the errors of every command in one
 place: validation failures exit with status 2 and a machine-readable error
 object on stderr, and a closed stdout exits with status 1.
+
+Of the library, only errors and graphs are imported here.  Each command
+imports the modules it runs (indegree, zonotope, strata, matpoly) when
+it runs, so a request loads no module it does not use, and --help
+loads none of them.
 """
 
 from __future__ import annotations
@@ -13,7 +18,7 @@ import json
 import sys
 from itertools import chain, islice
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 import click
 
@@ -31,9 +36,9 @@ from .graphs import (
     indeg,
     to_dot,
 )
-from . import indegree as _indegree
-from . import strata as _strata
-from . import zonotope as _zonotope
+
+if TYPE_CHECKING:
+    from .strata import CurveShape, StratumLabel
 
 JSON_SEPARATORS = (", ", ": ")
 #: Pieces of a streamed output written per chunk, so the whole text is
@@ -86,13 +91,15 @@ def _label_texts(g: Multigraph, rows: Iterable[tuple]) -> Iterator[tuple[str, tu
     without its closing brace, with its row.  Vertex names are encoded
     once, into a %-template of the divisor, and each subgraph's prefix
     once."""
-    divisor = _strata._divisor_template(g.vertices)
-    decode = _strata._decoder(g)
+    from .indegree import _decoder, _divisor_template, _edges_of
+
+    divisor = _divisor_template(g.vertices)
+    decode = _decoder(g)
     mask = template = None
     for row in rows:
         if row[0] != mask:
             mask = row[0]
-            edges = _dumps(_strata._edges_of(mask, g.n_edges))
+            edges = _dumps(_edges_of(mask, g.n_edges))
             template = '{"subgraph": ' + edges + ', "divisor": ' + divisor
         yield template % decode(row[1]), row
 
@@ -100,8 +107,10 @@ def _label_texts(g: Multigraph, rows: Iterable[tuple]) -> Iterator[tuple[str, tu
 def _divisor_texts(g: Multigraph, keys: Iterable[int]) -> Iterator[str]:
     """The _dumps text of the list of the divisors with these exponent
     keys, then a newline, filled into one %-template."""
-    divisor = _strata._divisor_template(g.vertices)
-    decode = _strata._decoder(g)
+    from .indegree import _decoder, _divisor_template
+
+    divisor = _divisor_template(g.vertices)
+    decode = _decoder(g)
     return chain(_json_array(divisor % decode(key) for key in keys), ["\n"])
 
 
@@ -116,17 +125,20 @@ def _cover_texts(covers: Iterable[tuple[int, Sequence[int]]]) -> Iterator[str]:
 def _stratum_texts(g: Multigraph, table: Iterable[tuple]) -> Iterator[str]:
     """The _dumps text of each stratum_rows row, from the _table_rows
     table, with one %-template per subgraph (as in _label_texts)."""
-    divisor = _strata._divisor_template(g.vertices)
+    from .indegree import _divisor_template, _edges_of
+    from .strata import _stratum_lines
+
+    divisor = _divisor_template(g.vertices)
 
     def template(mask: int, dim: int) -> str:
-        edges = _dumps(_strata._edges_of(mask, g.n_edges))
+        edges = _dumps(_edges_of(mask, g.n_edges))
         return (
             f'{{"id": %d, "edge_bitmask": {mask}, "subgraph_edges": {edges}, "divisor": '
             + divisor
             + f', "dimension": {dim}, "class": "%s", "multiplicity": %d}}'
         )
 
-    return _strata._stratum_lines(g, table, template)
+    return _stratum_lines(g, table, template)
 
 
 def read_json_input(source: str) -> dict:
@@ -146,11 +158,15 @@ def read_json_input(source: str) -> dict:
 class _Root(click.Group):
     """The root group: it runs its own callback and every subcommand, so
     their errors all end here.  A closed stdout exits 1; a validation
-    failure exits 2 with one JSON error object on stderr."""
+    failure exits 2 with one JSON error object on stderr.  stdout is
+    flushed inside, so a write that a closed pipe refuses at the flush
+    also exits 1."""
 
     def invoke(self, ctx: click.Context):
         try:
-            return super().invoke(ctx)
+            result = super().invoke(ctx)
+            sys.stdout.flush()
+            return result
         except BrokenPipeError:
             sys.exit(1)
         except (StrataError, ValueError, OSError) as exc:
@@ -180,8 +196,10 @@ def _orientation_from_arcs(g: Multigraph, arcs) -> Orientation:
     return Orientation(g, tuple(flips))
 
 
-def _lines_shape(lines: int) -> _strata.CurveShape:
-    return _strata.CurveShape(complete_graph(lines), 1, lines)
+def _lines_shape(lines: int) -> CurveShape:
+    from .strata import CurveShape
+
+    return CurveShape(complete_graph(lines), 1, lines)
 
 
 def _shape_from_options(
@@ -189,7 +207,7 @@ def _shape_from_options(
     input_arg: str | None,
     max_edges: int = DEFAULT_MAX_EDGES,
     operation: str = "generating_subgraphs",
-) -> _strata.CurveShape:
+) -> CurveShape:
     """Shape from --lines N or from an input holding a shape, bare or
     under 'shape'.  K_N's N(N-1)/2 edges meet the cap of the operation
     before K_N is built."""
@@ -205,8 +223,10 @@ def _shape_from_options(
     return _shape_from_obj(obj)
 
 
-def _shape_from_obj(obj) -> _strata.CurveShape:
+def _shape_from_obj(obj) -> CurveShape:
     """Shape from an input object carrying either 'lines' or 'shape'."""
+    from .strata import CurveShape
+
     if not isinstance(obj, dict):
         raise StrataError("input must be a JSON object")
     if "lines" in obj:
@@ -215,7 +235,7 @@ def _shape_from_obj(obj) -> _strata.CurveShape:
         raise StrataError("input needs 'lines' or 'shape'")
     sh = obj["shape"]
     g = _graph_from_any(sh)
-    return _strata.CurveShape(g, _int_field(sh, "m"), _int_field(sh, "n"))
+    return CurveShape(g, _int_field(sh, "m"), _int_field(sh, "n"))
 
 
 def _local_checks_before_k_n(obj, max_edges: int) -> None:
@@ -257,9 +277,11 @@ def _stratum_edges(obj) -> list[int]:
     return edges
 
 
-def _stratum_from_obj(g: Multigraph, obj) -> _strata.StratumLabel:
+def _stratum_from_obj(g: Multigraph, obj) -> StratumLabel:
+    from .strata import StratumLabel
+
     sub = Subgraph(g, frozenset(_stratum_edges(obj)))
-    return _strata.StratumLabel(sub, divisor_from_json_obj(g, obj["divisor"]))
+    return StratumLabel(sub, divisor_from_json_obj(g, obj["divisor"]))
 
 
 @click.group(cls=_Root)
@@ -302,6 +324,8 @@ def graph_indeg(input_arg: str) -> None:
 @click.pass_obj
 def graph_bpoly(max_edges: int, input_arg: str) -> None:
     """Orientation generating polynomial of a graph JSON."""
+    from . import indegree as _indegree
+
     g = _graph_from_any(read_json_input(input_arg))
     _echo_stream([_dumps(_indegree.b_polynomial(g, max_edges).to_json_obj()) + "\n"])
 
@@ -310,6 +334,8 @@ def graph_bpoly(max_edges: int, input_arg: str) -> None:
 @click.argument("input_arg", metavar="INPUT")
 def graph_classify(input_arg: str) -> None:
     """Classify {"graph": ..., "divisor": ...}."""
+    from . import indegree as _indegree
+
     obj = read_json_input(input_arg)
     g = _graph_from_any(obj)
     d = divisor_from_json_obj(g, obj.get("divisor", {}))
@@ -338,7 +364,9 @@ def _zonotope_graph(complete: int | None, input_arg: str | None) -> Multigraph:
     if (complete is None) == (input_arg is None):
         raise StrataError("provide exactly one of --complete N or an input graph")
     if complete is not None:
-        return _zonotope.permutohedron_graph(complete)
+        from .zonotope import permutohedron_graph
+
+        return permutohedron_graph(complete)
     return _graph_from_any(read_json_input(input_arg))
 
 
@@ -357,11 +385,15 @@ def zonotope_points(max_edges: int, input_arg, complete, count, fmt) -> None:
     """Lattice points of the graphical zonotope."""
     g = _zonotope_graph(complete, input_arg)
     if fmt == "csv" and not count:
-        _echo_stream([_zonotope.lattice_csv(g, max_edges)])
+        from .zonotope import lattice_csv
+
+        _echo_stream([lattice_csv(g, max_edges)])
         return
+    from .indegree import _bpoly_terms
+
     # the points are the b-polynomial's exponents (zonotope.lattice_points)
     ensure_cap(g.n_edges, max_edges, "lattice_points")
-    terms = _indegree._bpoly_terms(g)
+    terms = _bpoly_terms(g)
     if count:
         click.echo(str(len(terms)))
         return
@@ -375,8 +407,10 @@ def zonotope_points(max_edges: int, input_arg, complete, count, fmt) -> None:
 @click.pass_obj
 def zonotope_vertices_cmd(max_edges: int, input_arg, complete, count) -> None:
     """Vertices of the graphical zonotope."""
+    from .zonotope import _vertex_keys
+
     g = _zonotope_graph(complete, input_arg)
-    keys = _zonotope._vertex_keys(g, max_edges)
+    keys = _vertex_keys(g, max_edges)
     if count:
         click.echo(str(len(keys)))
         return
@@ -391,10 +425,12 @@ def strata() -> None:
     """Stratification of the isospectral variety."""
 
 
-def _table(shape: _strata.CurveShape, max_edges: int) -> Iterator[tuple]:
+def _table(shape: CurveShape, max_edges: int) -> Iterator[tuple]:
     """The _table_rows table of the shape.  Its first subgraph raises the
     cap and dimension errors, so it is taken before any output."""
-    table = _strata._table_rows(shape, max_edges)
+    from .strata import _table_rows
+
+    table = _table_rows(shape, max_edges)
     return chain([next(table)], table)
 
 
@@ -408,6 +444,8 @@ def _table(shape: _strata.CurveShape, max_edges: int) -> Iterator[tuple]:
 @click.pass_obj
 def strata_enumerate(max_edges: int, input_arg, lines, fmt, as_table) -> None:
     """Enumerate all strata of a curve shape."""
+    from . import strata as _strata
+
     shape = _shape_from_options(lines, input_arg, max_edges)
     if as_table:
         fmt = "table"
@@ -436,6 +474,8 @@ def strata_adjacency(max_edges: int, input_arg: str) -> None:
 
     INPUT: {"shape"|"lines": ..., "upper": stratum, "lower": stratum}.
     """
+    from . import strata as _strata
+
     obj = read_json_input(input_arg)
     shape = _shape_from_obj(obj)
     s1 = _stratum_from_obj(shape.dual_graph, obj.get("upper"))
@@ -452,6 +492,8 @@ def strata_local(max_edges: int, input_arg: str) -> None:
 
     INPUT: {"shape"|"lines": ..., "stratum": {"subgraph": [...], "divisor": ...}}.
     """
+    from . import strata as _strata
+
     obj = read_json_input(input_arg)
     _local_checks_before_k_n(obj, max_edges)
     shape = _shape_from_obj(obj)
@@ -468,6 +510,8 @@ def strata_local(max_edges: int, input_arg: str) -> None:
 @click.pass_obj
 def strata_components(max_edges: int, input_arg, lines, count) -> None:
     """Irreducible components: the top strata."""
+    from . import strata as _strata
+
     shape = _shape_from_options(lines, input_arg, max_edges, "b_polynomial")
     comps = _strata.irreducible_components(shape, max_edges)
     if count:
@@ -482,6 +526,8 @@ def strata_components(max_edges: int, input_arg, lines, count) -> None:
 @click.pass_obj
 def strata_cr(max_edges: int, input_arg, lines) -> None:
     """Completely reducible strata (the compactified-Jacobian index set)."""
+    from . import strata as _strata
+
     shape = _shape_from_options(lines, input_arg, max_edges)
     rows = _strata._cr_rows(_table(shape, max_edges))
     texts = (text + "}" for text, _ in _label_texts(shape.dual_graph, rows))
@@ -502,6 +548,8 @@ def hasse() -> None:
 @click.pass_obj
 def hasse_export(max_edges: int, input_arg: str, fmt: str) -> None:
     """Export the Hasse diagram of a graph JSON."""
+    from . import strata as _strata
+
     g = _graph_from_any(read_json_input(input_arg))
     elements, covers = _strata._hasse_table(g, max_edges)
     if fmt == "dot":
@@ -548,7 +596,7 @@ def matpoly_classify(input_arg: str, arrangement_arg: str) -> None:
     p = _matpoly.matpoly_from_json_obj(read_json_input(input_arg))
     c = _matpoly.arrangement_from_json_obj(read_json_input(arrangement_arg))
     label = _matpoly.classify_polynomial(p, c)
-    click.echo(_dumps(_strata.classification_to_json_obj(label)))
+    click.echo(_dumps(_matpoly.classification_to_json_obj(label)))
 
 
 @matpoly.command("reducibility")
@@ -614,7 +662,7 @@ def graph_dot(input_arg: str) -> None:
     o = None
     if isinstance(obj, dict) and obj.get("orientation") is not None:
         o = _orientation_from_arcs(g, obj["orientation"])
-    click.echo(to_dot(g, o), nl=False)
+    _echo_stream([to_dot(g, o)])
 
 
 if __name__ == "__main__":

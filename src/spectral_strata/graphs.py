@@ -14,14 +14,105 @@ as distinct orientations: a graph with e edges always has 2^e orientations.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from functools import cached_property
+from operator import attrgetter
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 from .errors import CapExceededError, GraphConstructionError
 
 #: Largest edge count accepted by exhaustive enumerations (2^20 cases).
 DEFAULT_MAX_EDGES = 20
+
+_set = object.__setattr__
+
+
+# A value class's constructor by its number of fields, so that it takes
+# them as plain positional parameters: an __init__(self, *values) loop
+# makes a construction about 80% slower.  object.__setattr__ per field
+# keeps CPython's fast attribute reads, which a write through
+# self.__dict__ would give up.
+def _init1(self, a) -> None:
+    (f,) = self._fields
+    _set(self, f, a)
+    self.__post_init__()
+
+
+def _init2(self, a, b) -> None:
+    f, g = self._fields
+    _set(self, f, a)
+    _set(self, g, b)
+    self.__post_init__()
+
+
+def _init3(self, a, b, c) -> None:
+    f, g, h = self._fields
+    _set(self, f, a)
+    _set(self, g, b)
+    _set(self, h, c)
+    self.__post_init__()
+
+
+def _init4(self, a, b, c, d) -> None:
+    f, g, h, i = self._fields
+    _set(self, f, a)
+    _set(self, g, b)
+    _set(self, h, c)
+    _set(self, i, d)
+    self.__post_init__()
+
+
+class Value:
+    """Base of the package's immutable value classes.
+
+    A subclass declares its fields, one to four, as class annotations, in
+    constructor order, and may check them in __post_init__.  It gets a
+    positional constructor, equality (same class, equal fields), a hash of
+    the fields computed on first use and then kept, a repr
+    Name(field=value, ...), and no assignment or deletion of attributes.
+    These are shared functions, picked by the field count: nothing is
+    generated or compiled per class.  Instances keep a __dict__, so
+    functools.cached_property works on them.
+    """
+
+    _fields: tuple[str, ...] = ()
+    _hash = None
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        cls._fields = tuple(cls.__dict__.get("__annotations__", ()))
+        cls.__init__ = (_init1, _init2, _init3, _init4)[len(cls._fields) - 1]
+        # the field values, as one tuple, or the value alone for one field
+        cls._values = attrgetter(*cls._fields)
+
+    def __post_init__(self) -> None:
+        pass
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values(self) == other._values(other)
+
+    def __hash__(self) -> int:
+        h = self._hash
+        if h is None:
+            h = hash(self._values(self))
+            _set(self, "_hash", h)
+        return h
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        # rebuilt through the constructor: a kept hash of strings is valid
+        # only in the process that computed it
+        return type(self), tuple(getattr(self, name) for name in self._fields)
 
 
 def ensure_cap(n_edges: int, max_edges: int, operation: str) -> None:
@@ -37,8 +128,7 @@ def check_edge_indices(edges: Iterable[int], n_edges: int) -> None:
         raise GraphConstructionError("edge_set contains an unknown edge index")
 
 
-@dataclass(frozen=True)
-class Multigraph:
+class Multigraph(Value):
     """Immutable undirected multigraph, loops allowed.
 
     vertices: ordered unique identifiers.
@@ -110,8 +200,7 @@ class Multigraph:
         return len(self.connected_components()) <= 1
 
 
-@dataclass(frozen=True)
-class Subgraph:
+class Subgraph(Value):
     """Generating subgraph: full vertex set of the parent, a subset of edges."""
 
     parent: Multigraph
@@ -147,8 +236,7 @@ class Subgraph:
         return Multigraph(self.parent.vertices, edges)
 
 
-@dataclass(frozen=True)
-class Divisor:
+class Divisor(Value):
     """Integer-valued function on an ordered vertex set.
 
     Divisors attached to a graph and to any of its generating subgraphs share
@@ -200,8 +288,7 @@ class Divisor:
         return dict(zip(self.vertices, self.values))
 
 
-@dataclass(frozen=True)
-class Orientation:
+class Orientation(Value):
     """A direction for every edge of a graph.
 
     flips[i] = False orients edge i from its stored pair (u, v) as u -> v,
@@ -229,8 +316,7 @@ class Orientation:
         return Orientation(self.graph, tuple(not f for f in self.flips))
 
 
-@dataclass(frozen=True)
-class PartialOrientation:
+class PartialOrientation(Value):
     """A direction for a designated subset of edges; the rest stay unoriented.
 
     directions maps edge index -> flip flag with the same convention as

@@ -26,9 +26,9 @@ results.
 
 from __future__ import annotations
 
+import json
 import struct
 from collections import deque
-from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 from operator import ge
@@ -41,6 +41,7 @@ from .graphs import (
     Multigraph,
     Orientation,
     Subgraph,
+    Value,
     all_orientations,
     degree_divisor,
     ensure_cap,
@@ -60,8 +61,7 @@ class DivisorTag(Enum):
 Reducibility = DivisorTag  # matpoly.reducibility's classes, all but NOT_INDEGREE
 
 
-@dataclass(frozen=True)
-class DivisorClass:
+class DivisorClass(Value):
     """Classification of a divisor on a multigraph.
 
     irreducible means: the graph is connected and the divisor admits a
@@ -79,8 +79,7 @@ class DivisorClass:
     completely_reducible: bool
 
 
-@dataclass(frozen=True)
-class IndegPolynomial:
+class IndegPolynomial(Value):
     """Sparse generating polynomial of orientations by indegree.
 
     terms maps an exponent tuple (one entry per vertex) to a positive
@@ -142,6 +141,24 @@ def _key_codec(
         lambda values: int.from_bytes(pack(*values), "big"),
         lambda key: unpack(key.to_bytes(size, "big")),
     )
+
+
+def _edges_of(mask: int, n_edges: int) -> list[int]:
+    """The edge indices of a bitmask over n_edges edges, ascending."""
+    return [i for i in range(n_edges) if mask >> i & 1]
+
+
+def _decoder(g: Multigraph):
+    """key -> divisor values, for the exponent keys of g."""
+    return _key_codec(g.n_vertices, _key_bits(g.n_edges))[1]
+
+
+def _divisor_template(vertices: Sequence[str], item_sep: str = ", ", key_sep: str = ": ") -> str:
+    """The json.dumps text, with these separators, of a divisor
+    {vertex: value} as a %-template of its values: each vertex name is
+    encoded once, and its "%" doubled."""
+    items = (json.dumps(v).replace("%", "%%") + key_sep + "%d" for v in vertices)
+    return "{" + item_sep.join(items) + "}"
 
 
 def _times_edge(terms: dict[int, int], pu: int, pv: int) -> dict[int, int]:
@@ -272,17 +289,30 @@ def _subset_sums(weights: Sequence[int]) -> list[int]:
     return sums
 
 
-def _component_tables(g: Multigraph) -> list[tuple[list[int], list[int]]]:
-    """For every connected component: its members, and inside[S] = #edges
-    with both ends in S for every bitmask S over the members.  Each S with
-    top member k is the same S without k, plus k's loops (the last entry of
-    row k of to_lower) and k's edges to the rest of S (the other entries)."""
+def _component_tables(
+    n: int, edges: Sequence[tuple[int, int]]
+) -> list[tuple[list[int], list[int]]]:
+    """For every connected component of the graph on n vertices with these
+    edges (pairs u <= v), by least member: its members, and inside[S] =
+    #edges with both ends in S for every bitmask S over the members.  Each
+    S with top member k is the same S without k, plus k's loops (the last
+    entry of row k of to_lower) and k's edges to the rest of S (the other
+    entries)."""
+    adj = [0] * n
+    for u, v in edges:
+        adj[u] |= 1 << v
+        adj[v] |= 1 << u
     out = []
-    for comp in g.connected_components():
-        members = sorted(comp)
-        pos = {x: j for j, x in enumerate(members)}
+    seen = 0
+    for x in range(n):
+        if seen >> x & 1:
+            continue
+        comp = _closure(adj, 1 << x)
+        seen |= comp
+        members = [v for v in range(x, n) if comp >> v & 1]
+        pos = {v: j for j, v in enumerate(members)}
         to_lower = [[0] * (k + 1) for k in range(len(members))]
-        for u, v in g.edges:
+        for u, v in edges:
             if u in pos:
                 # u <= v, and pos keeps the order of the sorted members
                 to_lower[pos[v]][pos[u]] += 1
@@ -301,26 +331,34 @@ def _interior_flags(keys: Sequence[int], n: int, bits: int, tables) -> list[bool
 
     Key j's digit v goes to lane j, bits [w j, w j + w) with w = 2 bits,
     of column v: the keys' bytes, one string for all keys, are transposed
-    by slicing.  Adding columns over subsets puts D(S) in every lane; with
-    the guard bit g = 2^(w-1), adding g - 1 - inside[S] to each lane gives
-    D(S) - inside[S] - 1 + g, in [g - 2^bits, g - 1 + 2^bits), inside
-    [0, 2^w).  So no lane borrows from or carries into the next, and the
-    guard bit is set exactly when D(S) > inside[S]; ANDing over every S
-    keeps it for interior exponents."""
-    size = bits // 8
-    raw = b"".join([k.to_bytes(n * size, "big") for k in keys])
+    by slicing.  A key of at most 8 bytes is one little-endian word of
+    that string, so one struct.pack call writes it; a longer key is
+    converted on its own.  Adding columns over subsets puts D(S) in every
+    lane; with the guard bit g = 2^(w-1), adding g - 1 - inside[S] to each
+    lane gives D(S) - inside[S] - 1 + g, in [g - 2^bits, g - 1 + 2^bits),
+    inside [0, 2^w).  So no lane borrows from or carries into the next,
+    and the guard bit is set exactly when D(S) > inside[S]; ANDing over
+    every S keeps it for interior exponents."""
+    size, width = bits // 8, n * bits // 8
+    if width <= 8:
+        stride, raw = 8, struct.pack(f"<{len(keys)}Q", *keys)
+    else:
+        stride, raw = width, b"".join([k.to_bytes(width, "little") for k in keys])
     lane = bytearray(2 * size * len(keys))
 
     def column(v: int) -> int:
-        # lane bytes are little-endian, the key's digit bytes big-endian
+        # digit v is bytes [low, low + size) of a key, least significant first
+        low = (n - 1 - v) * size
         for t in range(size):
-            lane[t::2 * size] = raw[(v + 1) * size - 1 - t::n * size]
+            lane[t::2 * size] = raw[low + t::stride]
         return int.from_bytes(lane, "little")
 
     ones = int.from_bytes(b"\x01".ljust(2 * size, b"\x00") * len(keys), "little")
     guard = 1 << (2 * bits - 1)
     flags = guard * ones
     for members, inside in tables:
+        if len(members) < 2:
+            continue  # no nonempty proper subset
         sums = _subset_sums([column(v) for v in members])
         for total, count in zip(sums[1:-1], inside[1:-1]):
             flags &= total + (guard - 1 - count) * ones
@@ -336,7 +374,7 @@ def _subset_inequalities_ok(g: Multigraph, d: Divisor) -> bool:
         raise CapExceededError("inequality test limited to 24 vertices")
     return all(
         all(map(ge, _subset_sums([d.values[x] for x in members]), inside))
-        for members, inside in _component_tables(g)
+        for members, inside in _component_tables(g.n_vertices, g.edges)
     )
 
 

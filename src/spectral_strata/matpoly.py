@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
@@ -40,7 +39,7 @@ from .exact import (
     rational_roots,
     sqrt_rational,
 )
-from .graphs import Divisor, Multigraph, Subgraph, complete_graph
+from .graphs import Divisor, Multigraph, Subgraph, Value, complete_graph
 from .indegree import Reducibility, is_indegree, multiplicity
 # classification_to_json_obj is strata's, re-exported for matpoly's callers
 from .strata import StratumLabel, classification_to_json_obj
@@ -50,8 +49,7 @@ MAX_MATRIX_SIZE = 6
 RationalMatrix = tuple[tuple[Fraction, ...], ...]
 
 
-@dataclass(frozen=True)
-class BivariatePolynomial:
+class BivariatePolynomial(Value):
     """Finitely supported polynomial in (lambda, mu) with rational
     coefficients; zero coefficients are dropped on construction."""
 
@@ -81,8 +79,7 @@ class BivariatePolynomial:
         ]
 
 
-@dataclass(frozen=True)
-class MatrixPolynomial:
+class MatrixPolynomial(Value):
     """A_0 + A_1 lambda + ... + A_m lambda^m with exact rational n x n
     coefficient matrices."""
 
@@ -195,8 +192,7 @@ def check_leading_condition(
 # ---------------------------------------------------------------------------
 # line arrangements
 
-@dataclass(frozen=True)
-class SpectralLineArrangement:
+class SpectralLineArrangement(Value):
     """Union of lines mu = a_i + b_i lambda with pairwise distinct slopes
     and no three lines concurrent.  nodes[k] = (lambda, mu, i, j) is the
     intersection of lines i < j, aligned with edge k of the dual graph
@@ -266,8 +262,7 @@ def arrangement_product(c: SpectralLineArrangement) -> BivariatePolynomial:
 # ---------------------------------------------------------------------------
 # eigenvector data
 
-@dataclass(frozen=True)
-class EigenLineData:
+class EigenLineData(Value):
     """Coprime polynomial eigenvector on one line and its maximal entry
     degree (the degree of the dual eigenvector bundle there)."""
 

@@ -47,10 +47,6 @@ checked by max flow (_validate_stratum).
 
 from __future__ import annotations
 
-import io
-import csv as _csv
-import json
-from dataclasses import dataclass
 from itertools import accumulate, compress, count, groupby
 from math import factorial
 from operator import itemgetter
@@ -62,12 +58,16 @@ from .graphs import (
     Divisor,
     Multigraph,
     Subgraph,
+    Value,
     ensure_cap,
 )
 from .indegree import (
     DivisorClass,
     DivisorTag,
     _component_tables,
+    _decoder,
+    _divisor_template,
+    _edges_of,
     _interior_flags,
     _key_bits,
     _key_codec,
@@ -84,8 +84,7 @@ from .indegree import (
 _CLASS = (DivisorTag.REDUCIBLE_NOT_CR.value, DivisorTag.COMPLETELY_REDUCIBLE.value)
 
 
-@dataclass(frozen=True)
-class CurveShape:
+class CurveShape(Value):
     """Dual graph of a nodal curve plus the matrix-polynomial degree m and
     size n.  Purely combinatorial: no geometric existence check."""
 
@@ -102,8 +101,7 @@ class CurveShape:
         return self.m * self.n * (self.n - 1) // 2
 
 
-@dataclass(frozen=True)
-class StratumLabel:
+class StratumLabel(Value):
     """Label (generating subgraph, divisor).  Cheap shape checks happen at
     construction; validity of the divisor as an indegree divisor is
     checked by the operations that require it."""
@@ -121,8 +119,7 @@ class StratumLabel:
             )
 
 
-@dataclass(frozen=True)
-class LocalModel:
+class LocalModel(Value):
     """Local census around a stratum: p node factors, a q-dimensional
     disk, and the multiplicity of every stratum meeting the neighbourhood.
     The census totals 3^p and assigns 1 to the stratum itself."""
@@ -132,8 +129,7 @@ class LocalModel:
     census: Mapping[StratumLabel, int]
 
 
-@dataclass(frozen=True)
-class StrataPoset:
+class StrataPoset(Value):
     """All stratum labels of a graph with the closure order.
 
     cover_relations holds index pairs (lower, upper) into elements; covers
@@ -185,16 +181,6 @@ def _walk(g: Multigraph, edges: Sequence[int], base: int) -> Iterator[dict]:
             u, v = g.edges[edges[low.bit_length() - 1]]
             chain.append((mask, _times_edge(chain[-1][1], place[u], place[v])))
         yield chain[-1][1]
-
-
-def _edges_of(mask: int, n_edges: int) -> list[int]:
-    """The edge indices of a bitmask over n_edges edges, ascending."""
-    return [i for i in range(n_edges) if mask >> i & 1]
-
-
-def _decoder(g: Multigraph):
-    """key -> divisor values, for the exponent keys of g."""
-    return _key_codec(g.n_vertices, _key_bits(g.n_edges))[1]
 
 
 def enumerate_strata(c: CurveShape, max_edges: int = DEFAULT_MAX_EDGES) -> list[StratumLabel]:
@@ -422,17 +408,9 @@ def _table_rows(
         if any((x := mask & a) and not x & x - 1 and x & links for a in at):
             flags = [False] * len(keys)
         else:
-            sub = Multigraph(g.vertices, tuple(g.edges[i] for i in _edges_of(mask, g.n_edges)))
-            flags = _interior_flags(keys, n, bits, _component_tables(sub))
+            edges = [g.edges[i] for i in _edges_of(mask, g.n_edges)]
+            flags = _interior_flags(keys, n, bits, _component_tables(n, edges))
         yield mask, dim, keys, flags, terms
-
-
-def _divisor_template(vertices: Sequence[str], item_sep: str = ", ", key_sep: str = ": ") -> str:
-    """The json.dumps text, with these separators, of a divisor
-    {vertex: value} as a %-template of its values: each vertex name is
-    encoded once, and its "%" doubled."""
-    items = (json.dumps(v).replace("%", "%%") + key_sep + "%d" for v in vertices)
-    return "{" + item_sep.join(items) + "}"
 
 
 def _stratum_lines(g: Multigraph, table: Iterable[tuple], template_of) -> Iterator[str]:
@@ -474,8 +452,11 @@ def _csv_lines(g: Multigraph, table: Iterable[tuple]) -> Iterator[str]:
     shape on g.  The divisor cell is the json.dumps text of the divisor,
     quoted as the csv module quotes it; filling in digits neither needs
     quoting nor changes it, so the template is quoted once."""
+    import csv
+    import io
+
     buf = io.StringIO()
-    _csv.writer(buf, lineterminator="\n").writerow([_divisor_template(g.vertices)])
+    csv.writer(buf, lineterminator="\n").writerow([_divisor_template(g.vertices)])
     divisor = buf.getvalue()[:-1]
     yield "id,edge_bitmask,divisor,dimension,class,multiplicity\n"
     yield from _stratum_lines(g, table, lambda mask, dim: f"%d,{mask},{divisor},{dim},%s,%d\n")

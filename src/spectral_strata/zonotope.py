@@ -17,15 +17,12 @@ map.  No orientation is enumerated.
 
 from __future__ import annotations
 
-import io
-import csv as _csv
-from dataclasses import dataclass
-
 from .errors import StrataError
 from .graphs import (
     DEFAULT_MAX_EDGES,
     Divisor,
     Multigraph,
+    Value,
     complete_graph,
     ensure_cap,
 )
@@ -33,6 +30,7 @@ from .indegree import (
     DivisorTag,
     _bpoly_terms,
     _component_tables,
+    _decoder,
     _interior_flags,
     _key_bits,
     _key_codec,
@@ -41,8 +39,7 @@ from .indegree import (
 )
 
 
-@dataclass(frozen=True)
-class GraphicalZonotope:
+class GraphicalZonotope(Value):
     """Lattice data of a graphical zonotope.
 
     lattice_points are all indegree divisors (lex order); vertex_points are
@@ -83,7 +80,7 @@ def zonotope_vertices(g: Multigraph, max_edges: int = DEFAULT_MAX_EDGES) -> list
     So the coefficient is 2^L at the vertices and a larger multiple of 2^L
     at every other exponent.
     """
-    _, decode = _key_codec(g.n_vertices, _key_bits(g.n_edges))
+    decode = _decoder(g)
     return [Divisor(g.vertices, decode(key)) for key in _vertex_keys(g, max_edges)]
 
 
@@ -164,9 +161,12 @@ def lattice_csv(g: Multigraph, max_edges: int = DEFAULT_MAX_EDGES) -> str:
     if any(g.degree(v) == 1 for v in range(g.n_vertices)):
         interior = [False] * len(keys)
     else:
-        interior = _interior_flags(keys, g.n_vertices, bits, _component_tables(g))
+        interior = _interior_flags(keys, g.n_vertices, bits, _component_tables(g.n_vertices, g.edges))
+    import csv
+    import io
+
     buf = io.StringIO()
-    writer = _csv.writer(buf, lineterminator="\n")
+    writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(list(g.vertices) + ["multiplicity", "is_vertex", "is_interior"])
     for d, key, flag in zip(points, keys, interior):
         coeff = terms[key]

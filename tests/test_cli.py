@@ -607,7 +607,7 @@ try:
     code = 0
 except SystemExit as exc:
     code = exc.code
-loaded = [name for name in sys.modules if name.startswith("spectral_strata")]
+loaded = list(sys.modules)
 with open(sys.argv[2], "w") as f:
     json.dump({"code": code, "loaded": loaded}, f)
 """
@@ -616,7 +616,8 @@ MATRIX_MODULES = {"spectral_strata.matpoly", "spectral_strata.exact"}
 
 
 class TestImportBoundary:
-    """The matrix modules load only for the commands that use them."""
+    """The matrix modules load only for the commands that use them, and
+    each command loads only the modules it runs."""
 
     def probe(self, tmp_path, argv):
         import spectral_strata
@@ -648,8 +649,23 @@ class TestImportBoundary:
     )
     def test_graph_commands_leave_the_matrix_modules_out(self, tmp_path, argv):
         loaded = self.probe(tmp_path, argv)
-        assert "spectral_strata.strata" in loaded
+        assert "spectral_strata.cli" in loaded
         assert not loaded & MATRIX_MODULES
+
+    @pytest.mark.parametrize(
+        "argv, allowed",
+        [
+            (["--help"], {"cli", "errors", "graphs"}),
+            (["zonotope", "points", "--complete", "3"], {"cli", "errors", "graphs", "indegree", "zonotope"}),
+            (["strata", "cr", "--lines", "3"], {"cli", "errors", "graphs", "indegree", "strata"}),
+        ],
+    )
+    def test_each_command_loads_only_its_modules(self, tmp_path, argv, allowed):
+        loaded = self.probe(tmp_path, argv)
+        ours = {name for name in loaded if name.startswith("spectral_strata.")}
+        assert ours == {f"spectral_strata.{name}" for name in allowed}
+        # the value classes generate no code, so nothing imports dataclasses
+        assert "dataclasses" not in loaded
 
     @pytest.mark.parametrize(
         "argv", [["matpoly", "charpoly", json.dumps(ORB2)], ["sample", json.dumps(SAMPLE_TWO_LINES)]]
@@ -1084,6 +1100,8 @@ class TestOneErrorBoundary:
             (["strata", "components", "--lines", "6"], 10),
             (["strata", "local", json.dumps({"lines": 5, "stratum": {"subgraph": [], "divisor": {}}})], 10),
             (["hasse", "export", "--format", "json", json.dumps(graph_to_json_obj(complete_graph(5)))], 10),
+            # K90's DOT, 72 KB, is one piece
+            (["graph", "dot", json.dumps(graph_to_json_obj(complete_graph(90)))], 10),
         ],
     )
     def test_closed_stdout_exits_1(self, argv, head):

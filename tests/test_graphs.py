@@ -228,3 +228,127 @@ class TestCompleteGraph:
             pairs = [(names[i], names[j]) for i in range(n) for j in range(i + 1, n)]
             assert complete_graph(n) == build_graph(names, pairs)
         assert complete_graph(-1) == build_graph([], [])
+
+
+def _values():
+    """One fresh instance of each value class, with its field names in
+    constructor order; two calls give equal, distinct instances."""
+    from fractions import Fraction
+
+    from spectral_strata import (
+        BivariatePolynomial,
+        CurveShape,
+        Divisor,
+        DivisorClass,
+        DivisorTag,
+        EigenLineData,
+        GraphicalZonotope,
+        IndegPolynomial,
+        LocalModel,
+        MatrixPolynomial,
+        Multigraph,
+        StrataPoset,
+        StratumLabel,
+        Subgraph,
+        line_arrangement,
+    )
+
+    g = Multigraph(("v1", "v2"), ((0, 1),))
+    d = Divisor(g.vertices, (0, 1))
+    label = StratumLabel(Subgraph(g, frozenset({0})), d)
+    return [
+        (g, ("vertices", "edges")),
+        (Subgraph(g, frozenset({0})), ("parent", "edge_set")),
+        (d, ("vertices", "values")),
+        (Orientation(g, (False,)), ("graph", "flips")),
+        (PartialOrientation(g, ((0, True),)), ("graph", "directions")),
+        (
+            DivisorClass(DivisorTag.COMPLETELY_REDUCIBLE, Orientation(g, (True,)), True, True),
+            ("tag", "witness", "irreducible", "completely_reducible"),
+        ),
+        (IndegPolynomial(g.vertices, 1, {(1, 0): 1, (0, 1): 1}), ("vertices", "n_edges", "terms")),
+        (CurveShape(g, 1, 2), ("dual_graph", "m", "n")),
+        (label, ("subgraph", "divisor")),
+        (LocalModel(1, 0, {label: 1}), ("p", "q", "census")),
+        (StrataPoset((label,), ()), ("elements", "cover_relations")),
+        (GraphicalZonotope(g, (d,), (d,)), ("graph", "lattice_points", "vertex_points")),
+        (BivariatePolynomial({(0, 1): Fraction(-1), (1, 0): "2/3"}), ("terms",)),
+        (MatrixPolynomial((((Fraction(1),),), ((Fraction(2),),))), ("coefficients",)),
+        (line_arrangement([[0, 1], [1, 2]]), ("lines", "nodes", "dual_graph")),
+        (EigenLineData(0, ((Fraction(1),),), 0), ("line_index", "eigenvector", "dual_degree")),
+    ]
+
+
+VALUE_CLASSES = [type(value).__name__ for value, _ in _values()]
+
+
+@pytest.mark.parametrize("index", range(len(VALUE_CLASSES)), ids=VALUE_CLASSES)
+class TestValueContract:
+    """Every value class: positional construction, equality by class and
+    fields, a hash that equal objects share, no assignment or deletion, and
+    a repr Name(field=value, ...)."""
+
+    def pair(self, index):
+        (a, fields), (b, _) = _values()[index], _values()[index]
+        return a, b, fields
+
+    def test_equal_fields_give_equal_objects(self, index):
+        a, b, fields = self.pair(index)
+        assert a is not b and a == b and not a != b
+        assert type(a)(*(getattr(a, name) for name in fields)) == a
+        try:
+            hash(a)
+        except TypeError:
+            # a dict field is unhashable, and so is the object holding it
+            assert any(isinstance(getattr(a, name), dict) for name in fields)
+            return
+        assert hash(a) == hash(b) == hash(a)
+        assert len({a, b}) == 1
+
+    def test_another_class_is_not_equal(self, index):
+        a, _, fields = self.pair(index)
+        other, _ = _values()[(index + 1) % len(VALUE_CLASSES)]
+        assert a != other and other != a
+        assert a != tuple(getattr(a, name) for name in fields)
+
+    def test_fields_cannot_be_assigned_or_deleted(self, index):
+        a, _, fields = self.pair(index)
+        for name in fields:
+            value = getattr(a, name)
+            with pytest.raises(AttributeError):
+                setattr(a, name, value)
+            with pytest.raises(AttributeError):
+                delattr(a, name)
+            assert getattr(a, name) is value
+        with pytest.raises(AttributeError):
+            a.extra = 1
+
+    def test_repr_names_the_class_and_its_fields(self, index):
+        a, _, fields = self.pair(index)
+        body = ", ".join(f"{name}={getattr(a, name)!r}" for name in fields)
+        assert repr(a) == f"{type(a).__name__}({body})"
+
+    def test_pickle_round_trip(self, index):
+        import pickle
+
+        a, _, _ = self.pair(index)
+        assert pickle.loads(pickle.dumps(a)) == a
+
+    def test_wrong_arity_is_a_type_error(self, index):
+        a, _, fields = self.pair(index)
+        with pytest.raises(TypeError):
+            type(a)(*(getattr(a, name) for name in fields[:-1]))
+
+
+def test_value_cached_properties():
+    from spectral_strata import Subgraph, line_arrangement
+
+    g = make_k3()
+    sub = Subgraph(g, frozenset({0, 2}))
+    assert sub.bitmask == 0b101 and sub.bitmask == 0b101
+    assert sub.edge_list() == (0, 2)
+    assert hash(sub) == hash(Subgraph(g, frozenset({2, 0})))
+    arr = line_arrangement([[0, 1], [1, 2]])
+    assert arr.product is arr.product
+    assert arr.product.terms == {(0, 2): 1, (1, 1): -3, (0, 1): -1, (2, 0): 2, (1, 0): 1}
+    assert arr == line_arrangement([[0, 1], [1, 2]])

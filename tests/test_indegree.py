@@ -502,7 +502,7 @@ class TestSubsetInequalityTables:
         from spectral_strata import indegree
 
         g, d = case
-        tables = indegree._component_tables(g)
+        tables = indegree._component_tables(g.n_vertices, g.edges)
         assert indegree._subset_inequalities_ok(g, d) == self.brute(g, d.values, False)
         bits = indegree._key_bits(max(g.n_edges, d.degree))
         encode, _ = indegree._key_codec(g.n_vertices, bits)

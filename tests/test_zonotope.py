@@ -345,9 +345,9 @@ class TestCsvDegreeRule:
         short = self.path(10)
         encode, _ = _key_codec(short.n_vertices, _key_bits(short.n_edges))
         keys = [encode(d.values) for d in lattice_points(short)]
-        flags = _interior_flags(keys, short.n_vertices, _key_bits(short.n_edges), _component_tables(short))
+        flags = _interior_flags(keys, short.n_vertices, _key_bits(short.n_edges), _component_tables(short.n_vertices, short.edges))
 
-        def no_tables(g):
+        def no_tables(n, edges):
             raise AssertionError("component tables built for a graph with a leaf")
 
         monkeypatch.setattr(indegree, "_component_tables", no_tables)
