@@ -33,7 +33,7 @@ The commands:
     subgraphs have degree-one vertices or bridges: an 8-vertex path, a
     7-vertex tree, two triangles joined by an edge and a pendant vertex
     with a loop; and zonotope points --format csv on 12- and 16-vertex
-    paths;
+    paths, on 12- and 14-cycles and on two 6-cycles joined by an edge;
   * graph classify on K1..K4 and on the seeded multigraphs, at every
     divisor of the right degree and at a few that are not (a negative
     entry, one unit too many); graph bpoly on the same graphs, and graph
@@ -53,8 +53,10 @@ The commands:
   * zonotope points (plain, --count and --format csv) and zonotope
     vertices (plain and --count) on 12 disjoint edges among 26 vertices,
     past the 24 vertices of the subset-inequality test;
-  * matpoly reducibility at n = 4..7: diagonal, upper triangular, cyclic
-    and conjugated leading-diagonal polynomials;
+  * matpoly reducibility and charpoly at n = 4..7 (n = 7 is past the cap):
+    diagonal, upper triangular, cyclic and conjugated leading-diagonal
+    polynomials, and at n = 5 on a conjugated triangular polynomial with
+    120-digit entries of both signs;
   * sample at every 2- and 3-line stratum of several arrangements, with
     a few parameter sets and some rejected inputs; then matpoly
     charpoly|classify|reducibility on each sample OLD_SRC printed and on
@@ -247,6 +249,21 @@ def _cycle_commands() -> list[list[str]]:
     return cmds
 
 
+def _conjugate(mat: list) -> list:
+    """S M S^-1 with S = I + E_(n-1),0: add row 0 to row n-1, then subtract
+    column n-1 from column 0."""
+    n = len(mat)
+    out = [list(row) for row in mat]
+    out[n - 1] = [x + y for x, y in zip(out[n - 1], out[0])]
+    for row in out:
+        row[0] -= row[n - 1]
+    return out
+
+
+def _as_coeffs(polys: list) -> list:
+    return [[[[str(x) for x in row] for row in mat] for mat in p] for p in polys]
+
+
 def _reducibility_inputs(n: int) -> list:
     """Degree-one n x n polynomials A_0 + lambda diag(1..n), as JSON
     coefficient lists: A_0 diagonal, upper triangular, a directed n-cycle,
@@ -256,18 +273,22 @@ def _reducibility_inputs(n: int) -> list:
     diag = [[rng.randint(-5, 5) if i == j else 0 for j in range(n)] for i in range(n)]
     upper = [[rng.choice([-2, 1, 3]) if i < j else x for j, x in enumerate(row)] for i, row in enumerate(diag)]
     cyclic = [[3 if j == (i + 1) % n else x for j, x in enumerate(row)] for i, row in enumerate(diag)]
+    polys = [[diag, lead], [upper, lead], [cyclic, lead], [_conjugate(upper), _conjugate(lead)]]
+    return _as_coeffs(polys)
 
-    def conjugate(mat):
-        # S M S^-1 with S = I + E_(n-1),0: add row 0 to row n-1, then
-        # subtract column n-1 from column 0
-        out = [list(row) for row in mat]
-        out[n - 1] = [x + y for x, y in zip(out[n - 1], out[0])]
-        for row in out:
-            row[0] -= row[n - 1]
-        return out
 
-    polys = [[diag, lead], [upper, lead], [cyclic, lead], [conjugate(upper), conjugate(lead)]]
-    return [[[[str(x) for x in row] for row in mat] for mat in p] for p in polys]
+def _big_input(n: int, digits: int) -> list:
+    """A degree-one n x n polynomial whose entries have `digits` digits and
+    both signs: A_0 upper triangular and lambda times distinct diagonal
+    entries, both conjugated by I + E_(n-1),0."""
+    rng = random.Random(digits)
+
+    def big() -> int:
+        return rng.choice((-1, 1)) * rng.randrange(10 ** (digits - 1), 10**digits)
+
+    lead = [[big() if i == j else 0 for j in range(n)] for i in range(n)]
+    upper = [[big() if i <= j else 0 for j in range(n)] for i in range(n)]
+    return _as_coeffs([[_conjugate(upper), _conjugate(lead)]])[0]
 
 
 def _sqrt(x: Fraction):
@@ -425,9 +446,16 @@ def first_commands(quick: bool) -> list[list[str]]:
         cmds.append(["strata", "cr", shape])
     for k in (12, 16):
         cmds.append(["zonotope", "points", _graph(k, [(i, i + 1) for i in range(k - 1)]), "--format", "csv"])
+    cycles = [_graph(k, [(i, i + 1) for i in range(k - 1)] + [(0, k - 1)]) for k in (12, 14)]
+    bridged = [(i, i + 1) for i in (0, 1, 2, 3, 4, 6, 7, 8, 9, 10)] + [(0, 5), (6, 11), (0, 6)]
+    for graph in (*cycles, _graph(12, bridged)):
+        cmds.append(["zonotope", "points", graph, "--format", "csv"])
     for n in range(4, 8):
         for coeffs in _reducibility_inputs(n):
-            cmds.append(["matpoly", "reducibility", json.dumps({"coeffs": coeffs})])
+            for what in ("reducibility", "charpoly"):
+                cmds.append(["matpoly", what, json.dumps({"coeffs": coeffs})])
+    for what in ("reducibility", "charpoly"):
+        cmds.append(["matpoly", what, json.dumps({"coeffs": _big_input(5, 120)})])
 
     sys.path.insert(0, str(BENCH))
     from cli_workloads import lattice_requests

@@ -1,27 +1,29 @@
 """Exact arithmetic helpers: univariate and bivariate polynomials over the
 rationals, and exact linear algebra (rank, nullspace, polynomial-matrix
-determinants and adjugate kernels).
+determinants and kernels).
 
-Rank is Bareiss's fraction-free elimination in one integer-only routine,
-int_rank.  rank clears a rational matrix's rows into it; matpoly hands it
-the integer matrices it builds directly (P(lambda) - mu Id at a node, each
-row scaled by a positive integer), so no Fraction is made on the way.
+Rank, determinants and kernels are Bareiss's fraction-free elimination in
+one integer-only routine, bareiss.  rank clears a rational matrix's rows
+into it; matpoly hands it the integer matrices it builds directly
+(P(lambda) - mu Id at a node, each row scaled by a positive integer), so
+no Fraction is made on the way.
 
-nullspace, det, rank and poly_matrix_det are Fraction routines that no
-package path calls: matpoly runs on the integer routines.  They are the
-tests' Fraction reference for those routes, and the benchmark's tracer
-wraps them by name.
+nullspace, det, rank and poly_matrix_det take rational matrices, and no
+package path calls them: matpoly runs on the integer routines.  They are
+the tests' rational reference for those routes, and the benchmark's
+tracer wraps them by name.
 
-One memoised cofactor expansion along a row gives the determinant and a
-column of the adjugate at once; polynomial-matrix determinants, adjugate
-kernels and matpoly's characteristic polynomial all read it.  It runs
-over integers: each row of the matrix is first multiplied by the lcm of
-its coefficients' denominators, and the result is mapped back to the
-rationals once at the end (dividing by the product of the row scales, or,
-for an adjugate kernel, not at all, since scaling the other rows scales
-every cofactor of a row by one constant).  Content-free normalisation
-likewise works on integer polynomials, with a primitive pseudo-remainder
-gcd.
+A matrix of integer polynomials goes to bareiss packed: each row of the
+rational matrix is first multiplied by the lcm of its coefficients'
+denominators, and each polynomial becomes one integer, its value at a
+power of two wide enough that every minor can be read back (packed,
+unpacked).  So polynomial-matrix determinants, kernels and matpoly's
+characteristic polynomial are one elimination on plain ints, with no
+memo, no recursion and no polynomial product, and the result is mapped
+back to the rationals once at the end (dividing by the product of the
+row scales, or, for a kernel, not at all, since scaling rows keeps the
+kernel).  Content-free normalisation works on integer polynomials, with
+a primitive pseudo-remainder gcd.
 
 Rational roots come from the squarefree part of the polynomial: its real
 roots are isolated by a Sturm chain evaluated on integers at dyadic
@@ -99,20 +101,6 @@ def poly_degree(p: QPoly) -> int:
     return len(p) - 1
 
 
-def poly_add(p: QPoly, q: QPoly) -> QPoly:
-    n = max(len(p), len(q))
-    out = [Fraction(0)] * n
-    for i, c in enumerate(p):
-        out[i] += c
-    for i, c in enumerate(q):
-        out[i] += c
-    return poly(out)
-
-
-def poly_neg(p: QPoly) -> QPoly:
-    return tuple(-c for c in p)
-
-
 def poly_mul(p: QPoly, q: QPoly) -> QPoly:
     if not p or not q:
         return ZERO_POLY
@@ -123,37 +111,6 @@ def poly_mul(p: QPoly, q: QPoly) -> QPoly:
         for j, b in enumerate(q):
             out[i + j] += a * b
     return poly(out)
-
-
-def poly_scale(p: QPoly, c: Fraction) -> QPoly:
-    if c == 0:
-        return ZERO_POLY
-    return tuple(a * c for a in p)
-
-
-def poly_divmod(p: QPoly, q: QPoly) -> tuple[QPoly, QPoly]:
-    if not q:
-        raise ZeroDivisionError("polynomial division by zero")
-    rem = list(p)
-    quot = [Fraction(0)] * max(0, len(p) - len(q) + 1)
-    lead = q[-1]
-    for shift in range(len(p) - len(q), -1, -1):
-        c = rem[shift + len(q) - 1] / lead
-        if c != 0:
-            quot[shift] = c
-            for i, b in enumerate(q):
-                rem[shift + i] -= c * b
-    return poly(quot), poly(rem)
-
-
-def poly_gcd(p: QPoly, q: QPoly) -> QPoly:
-    """Monic greatest common divisor (1 for coprime, 0 only if both zero)."""
-    a, b = p, q
-    while b:
-        a, b = b, poly_divmod(a, b)[1]
-    if not a:
-        return ZERO_POLY
-    return poly_scale(a, 1 / a[-1])
 
 
 def poly_eval(p: QPoly, x: Fraction) -> Fraction:
@@ -187,23 +144,6 @@ def int_poly_add(p: IPoly, q: IPoly) -> IPoly:
         out[i] += c
     while out and not out[-1]:
         out.pop()
-    return tuple(out)
-
-
-def int_poly_neg(p: IPoly) -> IPoly:
-    return tuple(-c for c in p)
-
-
-def int_poly_mul(p: IPoly, q: IPoly) -> IPoly:
-    """Product; the integers have no zero divisors, so the leading
-    coefficient is nonzero and nothing needs trimming."""
-    if not p or not q:
-        return ()
-    out = [0] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        if a:
-            for j, b in enumerate(q):
-                out[i + j] += a * b
     return tuple(out)
 
 
@@ -244,10 +184,11 @@ def _exact_quotient(p: Sequence[int], g: Sequence[int]) -> list[int]:
 
 def _content_free_ints(vector: Sequence[IPoly]) -> tuple[IPoly, ...]:
     """poly_content_free on integer polynomials: the gcd of the entries is a
-    primitive pseudo-remainder gcd, the entries are divided by it exactly,
+    primitive pseudo-remainder gcd, from the shortest entry on, the entries
+    are divided by it exactly (when it is not constant),
     then by the integer content, and the sign of the first nonzero entry's
     leading coefficient is made positive."""
-    entries = [p for p in vector if p]
+    entries = sorted((p for p in vector if p), key=len)
     if not entries:
         raise StrataError("cannot normalise the zero vector")
     g = _primitive(entries[0])
@@ -258,7 +199,7 @@ def _content_free_ints(vector: Sequence[IPoly]) -> tuple[IPoly, ...]:
         while b:
             a, b = b, _neg_prem(a, b)
         g = _primitive(a)
-    reduced = [_exact_quotient(p, g) if p else [] for p in vector]
+    reduced = [_exact_quotient(p, g) if p else [] for p in vector] if len(g) > 1 else vector
     content = math.gcd(*(c for p in reduced for c in p))
     if next(p for p in reduced if p)[-1] < 0:
         content = -content
@@ -410,10 +351,6 @@ def biv_add(a: BivarTerms, b: BivarTerms) -> BivarTerms:
     return biv_clean(out)
 
 
-def biv_neg(a: BivarTerms) -> BivarTerms:
-    return {k: -v for k, v in a.items()}
-
-
 def biv_mul(a: BivarTerms, b: BivarTerms) -> BivarTerms:
     out: BivarTerms = {}
     for (i1, j1), c1 in a.items():
@@ -432,38 +369,54 @@ Matrix = Sequence[Sequence[Fraction]]
 def rank(matrix: Matrix) -> int:
     """Rank of a rational matrix: each row is multiplied by the lcm of its
     denominators, which keeps the rank, and the integer copy goes to
-    int_rank."""
+    bareiss."""
     rows = []
     for row in matrix:
         fs = [parse_rational(x) for x in row]
         denom = math.lcm(*(f.denominator for f in fs))
         rows.append([f.numerator * (denom // f.denominator) for f in fs])
-    return int_rank(rows)
+    return bareiss(rows)[0]
 
 
-def int_rank(rows: list[list[int]]) -> int:
-    """Rank of an integer matrix by fraction-free (Bareiss) elimination,
-    which overwrites the rows: every division is exact, so every entry
-    stays an integer."""
-    if not rows or not rows[0]:
-        return 0
-    m, n = len(rows), len(rows[0])
-    prev = 1
-    r = 0
+def bareiss(rows: list[list[int]]) -> tuple[int, int, Optional[list[int]]]:
+    """Fraction-free (Bareiss) elimination of an integer matrix, which
+    overwrites the rows: every division is exact, and every entry left is
+    a minor of the matrix, up to sign.  Returns the rank (the pivot
+    count), the determinant of a square matrix (the sign of the row swaps
+    times the last pivot, 0 when singular) and, for a square matrix of
+    corank one, a kernel vector, else None.  The kernel vector comes by
+    fraction-free back-substitution: the free column's entry is the last
+    pivot, so every pivot column's entry is a minor (Cramer's rule) and
+    each quotient is exact."""
+    m, n = len(rows), len(rows[0]) if rows else 0
+    prev, sign, pivots, r = 1, 1, [], 0
     for col in range(n):
-        pivot = next((i for i in range(r, m) if rows[i][col] != 0), None)
-        if pivot is None:
+        for i in range(r, m):
+            if rows[i][col]:
+                break
+        else:
             continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        for i in range(r + 1, m):
+        top = rows[i]
+        if i != r:
+            rows[i], rows[r], sign = rows[r], top, -sign
+        p = top[col]
+        for row in rows[r + 1:]:
+            a = row[col]
             for j in range(col + 1, n):
-                rows[i][j] = (rows[r][col] * rows[i][j] - rows[i][col] * rows[r][j]) // prev
-            rows[i][col] = 0
-        prev = rows[r][col]
+                row[j] = (p * row[j] - a * top[j]) // prev
+            row[col] = 0
+        prev = p
+        pivots.append(col)
         r += 1
         if r == m:
             break
-    return r
+    if m != n or r != n - 1:
+        return r, sign * prev if r == m == n else 0, None
+    x = [0] * n
+    x[next(c for c in range(n) if c not in pivots)] = prev
+    for row, col in zip(reversed(rows[:r]), reversed(pivots)):
+        x[col] = -sum([row[j] * x[j] for j in range(col + 1, n)]) // row[col]
+    return r, 0, x
 
 
 def nullspace(matrix: Matrix) -> list[list[Fraction]]:
@@ -522,60 +475,51 @@ def det(matrix: Matrix) -> Fraction:
 # ---------------------------------------------------------------------------
 # matrices of univariate polynomials
 
-def cofactor_expansion(matrix: Sequence[Sequence], row: int, zero, one, mul, add, neg):
-    """Laplace expansion over a commutative ring (zero and zero entries
-    falsy) along `row`, then the other rows in order, memoised over (row
-    offset, column subset).  Returns the determinant and the cofactors of
-    `row`, which are the adjugate's column `row`."""
-    n = len(matrix)
-    if n == 0:
-        return one, []
-    rows = [r for r in range(n) if r != row]
-    cache: dict[tuple[int, int], object] = {}
-
-    def minor(k: int, colmask: int):
-        if colmask == 0:
-            return one
-        key = (k, colmask)
-        if key in cache:
-            return cache[key]
-        acc = zero
-        cols = [c for c in range(n) if colmask >> c & 1]
-        for pos, col in enumerate(cols):
-            entry = matrix[rows[k]][col]
-            if entry:
-                term = mul(entry, minor(k + 1, colmask & ~(1 << col)))
-                acc = add(acc, neg(term) if pos % 2 else term)
-        cache[key] = acc
-        return acc
-
-    full = (1 << n) - 1
-    total, cofactors = zero, []
-    for col in range(n):
-        cof = minor(0, full & ~(1 << col))
-        if (row + col) % 2:
-            cof = neg(cof)
-        cofactors.append(cof)
-        if matrix[row][col]:
-            total = add(total, mul(matrix[row][col], cof))
-    # minor refers to itself through its closure; breaking that cycle
-    # frees the memo now rather than at the next cyclic collection
-    cache.clear()
-    del minor
-    return total, cofactors
+def packed(rows: Sequence[Sequence[IPoly]]) -> tuple[int, list[list[int]]]:
+    """Kronecker substitution: B, and each integer polynomial sum c_k x^k
+    of the matrix as the integer sum c_k 2^(B k), its value at x = 2^B.
+    B is 1 + the bit length of the product over rows of max(1, the row's
+    L1 norm).  By the Leibniz expansion that product bounds every
+    coefficient of every minor, so a minor packs to 0 exactly when it is 0
+    and unpacked recovers it.  Evaluation is a ring map, so an exact
+    division of minors is an exact // of their values."""
+    bound = 1
+    for row in rows:
+        bound *= max(1, sum([abs(c) for e in row for c in e]))
+    bits = bound.bit_length() + 1
+    out = []
+    for row in rows:
+        out.append([])
+        for e in row:
+            v = 0
+            for c in reversed(e):
+                v = (v << bits) + c
+            out[-1].append(v)
+    return bits, out
 
 
-_INT_POLY_RING = ((), (1,), int_poly_mul, int_poly_add, int_poly_neg)
+def unpacked(v: int, bits: int) -> IPoly:
+    """The polynomial that packed maps to v: the balanced base-2^B digits
+    of v, least significant first, which are its coefficients when each
+    is below 2^(B-1) in absolute value."""
+    out, mask, half = [], (1 << bits) - 1, 1 << bits - 1
+    while v:
+        d = v & mask
+        if d >= half:
+            d -= mask + 1
+        out.append(d)
+        v = (v - d) >> bits
+    return tuple(out)
 
 
 def poly_matrix_det(matrix: Sequence[Sequence[QPoly]]) -> QPoly:
-    """Determinant of a square polynomial matrix, by cofactor expansion
-    along the first row of the denominator-cleared integer matrix, divided
-    by the product of the row scales."""
+    """Determinant of a square polynomial matrix: bareiss on the packed,
+    denominator-cleared integer matrix, divided by the product of the row
+    scales."""
     rows, scales = clear_row_denominators(matrix)
-    total = cofactor_expansion(rows, 0, *_INT_POLY_RING)[0]
+    bits, ints = packed(rows)
     scale = math.prod(scales)
-    return tuple(Fraction(c, scale) for c in total)
+    return tuple(Fraction(c, scale) for c in unpacked(bareiss(ints)[1], bits))
 
 
 def poly_matrix_kernel_vector(matrix: Sequence[Sequence[QPoly]]) -> tuple[QPoly, ...]:
@@ -584,11 +528,10 @@ def poly_matrix_kernel_vector(matrix: Sequence[Sequence[QPoly]]) -> tuple[QPoly,
     function field is size-1 (unique eigendirection).
 
     The kernel is int_poly_matrix_kernel_vector of the
-    denominator-cleared integer rows: clearing scales the determinant,
-    and every cofactor of a row, by one nonzero constant, so the zero
-    tests and the content-free result are those of the rational matrix.
-    Raises when the adjugate is zero (kernel dimension at least two) or
-    the determinant is nonzero.
+    denominator-cleared integer rows: scaling rows by nonzero constants
+    keeps the rank and the kernel, so the content-free result is that of
+    the rational matrix.  Raises when the rank is size-2 or less (the
+    adjugate is zero) or the determinant is nonzero.
     """
     if len(matrix) == 1:
         if matrix[0][0]:
@@ -600,17 +543,14 @@ def poly_matrix_kernel_vector(matrix: Sequence[Sequence[QPoly]]) -> tuple[QPoly,
 
 def int_poly_matrix_kernel_vector(rows: Sequence[Sequence[IPoly]]) -> tuple[IPoly, ...]:
     """Content-free kernel vector of a square matrix of integer
-    polynomials, under the conditions of poly_matrix_kernel_vector.
-
-    The adjugate transposes cofactors, and M adj(M) = det(M) Id = 0, so any
-    nonzero adjugate column spans the kernel.  One expansion along row 0
-    gives the determinant and adjugate column 0; rows 1, 2, ... are
-    expanded only while that column is zero.
-    """
-    for row in range(len(rows)):
-        total, column = cofactor_expansion(rows, row, *_INT_POLY_RING)
-        if row == 0 and total:
-            raise StrataError("matrix has nonzero determinant; kernel is trivial")
-        if any(column):
-            return _content_free_ints(column)
-    raise StrataError("adjugate vanishes: kernel dimension is at least two")
+    polynomials, under the conditions of poly_matrix_kernel_vector: one
+    bareiss elimination of the packed matrix gives its rank over the
+    rational function field and, at corank one, a kernel vector.  Every
+    nonzero kernel vector has the same content-free form."""
+    bits, ints = packed(rows)
+    rank, _, kernel = bareiss(ints)
+    if rank == len(rows):
+        raise StrataError("matrix has nonzero determinant; kernel is trivial")
+    if kernel is None:
+        raise StrataError("adjugate vanishes: kernel dimension is at least two")
+    return _content_free_ints([unpacked(x, bits) for x in kernel])

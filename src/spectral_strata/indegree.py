@@ -338,7 +338,11 @@ def _interior_flags(keys: Sequence[int], n: int, bits: int, tables) -> list[bool
     lane gives D(S) - inside[S] - 1 + g, in [g - 2^bits, g - 1 + 2^bits),
     inside [0, 2^w).  So no lane borrows from or carries into the next,
     and the guard bit is set exactly when D(S) > inside[S]; ANDing over
-    every S keeps it for interior exponents."""
+    every S keeps it for interior exponents.  The column sums over the low
+    half of a component's members and over the high half are kept apart,
+    and D(S) is the sum of one of each, made in the order of S: 2^(k/2)
+    lane integers are held at once, not 2^k.  Each g - 1 - inside[S] in
+    every lane is made once per edge count."""
     size, width = bits // 8, n * bits // 8
     if width <= 8:
         stride, raw = 8, struct.pack(f"<{len(keys)}Q", *keys)
@@ -359,9 +363,14 @@ def _interior_flags(keys: Sequence[int], n: int, bits: int, tables) -> list[bool
     for members, inside in tables:
         if len(members) < 2:
             continue  # no nonempty proper subset
-        sums = _subset_sums([column(v) for v in members])
-        for total, count in zip(sums[1:-1], inside[1:-1]):
-            flags &= total + (guard - 1 - count) * ones
+        half = (len(members) + 1) // 2
+        cols = [column(v) for v in members]
+        low, high = _subset_sums(cols[:half]), _subset_sums(cols[half:])
+        sums = (h + l for h in high for l in low)
+        next(sums)  # the empty set
+        offset = [(guard - 1 - count) * ones for count in range(inside[-1] + 1)]
+        for count, total in zip(inside[1:-1], sums):
+            flags &= total + offset[count]
     lanes = (flags >> 2 * bits - 1).to_bytes(2 * size * len(keys), "little")
     return list(map(bool, lanes[::2 * size]))
 

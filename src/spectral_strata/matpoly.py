@@ -11,7 +11,6 @@ polynomial vector, and the divisor value is its maximal entry degree.
 from __future__ import annotations
 
 import math
-import operator
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
@@ -23,14 +22,13 @@ from .exact import (
     IPoly,
     QPoly,
     _rational_vector,
+    bareiss,
     biv_add,
     biv_mul,
-    biv_neg,
     clear_row_denominators,
-    cofactor_expansion,
     int_poly_add,
     int_poly_matrix_kernel_vector,
-    int_rank,
+    packed,
     parse_rational,
     poly,
     poly_const,
@@ -38,6 +36,7 @@ from .exact import (
     poly_mul,
     rational_roots,
     sqrt_rational,
+    unpacked,
 )
 from .graphs import Divisor, Multigraph, Subgraph, Value, complete_graph
 from .indegree import Reducibility, is_indegree, multiplicity
@@ -144,19 +143,31 @@ def matrix_polynomial(coefficients: Sequence[Sequence[Sequence]]) -> MatrixPolyn
 def char_poly(p: MatrixPolynomial) -> BivariatePolynomial:
     """det(P(lambda) - mu Id) as an exact bivariate polynomial; the top
     mu-term is (-1)^n mu^n.  Each row, its -mu entry included, is
-    multiplied by the lcm of its denominators, the determinant is expanded
-    over the integers, and its coefficients are divided by the product of
-    the row scales."""
-    n = p.n
-    if n > MAX_MATRIX_SIZE:
-        raise StrataError(f"matrix size {n} exceeds the char_poly cap {MAX_MATRIX_SIZE}")
+    multiplied by the lcm of its denominators, the determinant is one
+    packed Bareiss elimination (_char_digits), and its coefficients are
+    divided by the product of the row scales.  lambda^i mu^j is slot
+    i + j D of the packed polynomial, with D = n m + 1 above the
+    lambda-degree of every minor."""
+    span = p.n * p.m + 1
     rows, scales = _cleared_rows(p)
-    entries = [[{(k, 0): c for k, c in enumerate(e) if c} for e in row] for row in rows]
-    for i in range(n):
-        entries[i][i][(0, 1)] = -scales[i]
-    total, _ = cofactor_expansion(entries, 0, {}, {(0, 0): 1}, biv_mul, biv_add, biv_neg)
     scale = math.prod(scales)
-    return BivariatePolynomial({k: Fraction(c, scale) for k, c in total.items()})
+    return BivariatePolynomial(
+        {(k % span, k // span): Fraction(c, scale)
+         for k, c in enumerate(_char_digits(rows, scales, span)) if c}
+    )
+
+
+def _char_digits(rows: list[list[IPoly]], scales: list[int], span: int) -> IPoly:
+    """det(rows - mu diag(scales)), with lambda^i mu^j at slot i + j span
+    of one integer polynomial: one bareiss elimination of the packed rows."""
+    if len(rows) > MAX_MATRIX_SIZE:
+        raise StrataError(f"matrix size {len(rows)} exceeds the char_poly cap {MAX_MATRIX_SIZE}")
+    rows = [
+        [e + (0,) * (span - len(e)) + (-scales[r],) if r == c else e for c, e in enumerate(row)]
+        for r, row in enumerate(rows)
+    ]
+    bits, ints = packed(rows)
+    return unpacked(bareiss(ints)[1], bits)
 
 
 def _cleared_rows(p: MatrixPolynomial) -> tuple[list[list[IPoly]], list[int]]:
@@ -341,7 +352,7 @@ def _node_rank(
     shift = mu.numerator * q**m
     for i, scale in enumerate(scales):
         mat[i][i] -= scale * shift
-    return int_rank(mat)
+    return bareiss(mat)[0]
 
 
 def _gamma(
@@ -406,8 +417,9 @@ def reducibility(p: MatrixPolynomial) -> Reducibility:
     subspace is then spanned by a subset of its eigenvectors, so the
     search is over the 2^n - 2 proper nonempty subsets, in every
     dimension.  The eigenvalues are the rational roots of the leading
-    coefficient's characteristic polynomial, and each eigenvector is the
-    integer kernel vector of its line matrix, as in eigen_line_data.
+    coefficient's characteristic polynomial, and each right (left)
+    eigenvector is the integer kernel vector of its line matrix (of the
+    transposed line matrix), as in eigen_line_data.
     Completely reducible means every invariant subspace has an invariant
     complement, and the only candidate complement is the span of the
     remaining eigenvectors.
@@ -434,52 +446,46 @@ def _invariant_subsets(p: MatrixPolynomial) -> set[frozenset[int]]:
     """The proper nonempty S such that the leading coefficient's
     eigenvectors with indices in S (eigenvalues in increasing order) span
     a subspace invariant under every coefficient."""
-    n = p.n
-    lead = MatrixPolynomial((p.leading,))
-    # at degree 0 in lambda, char_poly's mu-coefficients are det(lead - mu Id)
-    charpoly_w = char_poly(lead)
-    roots = rational_roots(poly([charpoly_w.coefficient(0, j) for j in range(n + 1)]))
+    n, m = p.n, p.m
+    # The top coefficients of P's cleared rows form C = diag(scales) A_m,
+    # so det(C - mu diag(scales)) has the eigenvalues of A_m as its roots.
+    rows, scales = _cleared_rows(p)
+    top = [[e[m:] for e in row] for row in rows]
+    roots = rational_roots(_char_digits(top, scales, 1))
     if len(roots) != n:
         raise StrataError(
             "leading coefficient must have n distinct rational eigenvalues"
         )
-    # lead - b Id is the line matrix of the horizontal line mu = b; its
-    # integer kernel vector is a right eigenvector of the leading coefficient
-    lead_rows, lead_scales = _cleared_rows(lead)
-    right = []
+    # C - b diag(scales) is the line matrix of the horizontal line mu = b.
+    # Its integer kernel vector v is a right eigenvector of A_m; the kernel
+    # vector u of its transpose has u^T C = b u^T diag(scales), so
+    # w = diag(scales) u is a left eigenvector, and w^T P(lambda) v is
+    # u^T times the cleared rows times v.
+    right, left = [], []
     for b in roots:
-        mat = _line_matrix(lead_rows, lead_scales, (b, 0))
-        try:
-            ints = int_poly_matrix_kernel_vector(mat)
-        except StrataError:
-            raise AssertionError(
-                "an eigenvalue of multiplicity one must have a one-dimensional eigenspace"
-            ) from None
-        right.append([e[0] if e else 0 for e in ints])
-    # The cofactors of row i of the (integer) eigenvector matrix form a left
-    # eigenvector w_i with w_i^T v_j = det * (i == j); the same expansion
-    # gives the determinant for the independence check.
-    ring = (0, 1, operator.mul, operator.add, operator.neg)
-    expansions = [cofactor_expansion(right, i, *ring) for i in range(n)]
-    if expansions[0][0] == 0:
+        mat = _line_matrix(top, scales, (b, 0))
+        for vectors, rows_b in ((right, mat), (left, [list(col) for col in zip(*mat)])):
+            try:
+                ints = int_poly_matrix_kernel_vector(rows_b)
+            except StrataError:
+                raise AssertionError(
+                    "an eigenvalue of multiplicity one must have a one-dimensional eigenspace"
+                ) from None
+            vectors.append([e[0] if e else 0 for e in ints])
+    # w_i^T v_j = 0 for i != j, as the eigenvalues differ, so the v_j are
+    # independent exactly when every w_i^T v_i is nonzero
+    if not all(sum(map(math.prod, zip(u, scales, v))) for u, v in zip(left, right)):
         raise AssertionError("eigenvectors of distinct eigenvalues must be independent")
-
-    # Row r of P is cleared row r over scales[r], so with top = lcm(scales)
-    # the coefficients of top w^T P(lambda) v are those of
-    # sum_r w[r] (top / scales[r]) (cleared rows times v)[r], all integers.
-    rows, scales = _cleared_rows(p)
-    top = math.lcm(*scales)
-    duals = [[x * (top // sc) for x, sc in zip(w, scales)] for _, w in expansions]
     links = set()
     for j, v in enumerate(right):
-        image = [[0] * (p.m + 1) for _ in range(n)]
+        image = [[0] * (m + 1) for _ in range(n)]
         for r, row in enumerate(rows):
             for s, entry in enumerate(row):
                 for k, c in enumerate(entry):
                     image[r][k] += c * v[s]
-        for i, w in enumerate(duals):
+        for i, u in enumerate(left):
             if i != j and any(
-                sum(x * col[k] for x, col in zip(w, image)) for k in range(p.m + 1)
+                sum(x * col[k] for x, col in zip(u, image)) for k in range(m + 1)
             ):
                 links.add((i, j))
     return {

@@ -17,6 +17,8 @@ map.  No orientation is enumerated.
 
 from __future__ import annotations
 
+from typing import Sequence
+
 from .errors import StrataError
 from .graphs import (
     DEFAULT_MAX_EDGES,
@@ -29,6 +31,7 @@ from .graphs import (
 from .indegree import (
     DivisorTag,
     _bpoly_terms,
+    _closure,
     _component_tables,
     _decoder,
     _interior_flags,
@@ -146,19 +149,36 @@ def halfspace_description(g: Multigraph) -> dict:
     return {"hyperplanes": hyperplanes, "inequalities": facets}
 
 
+def _has_bridge(n: int, edges: Sequence[tuple[int, int]]) -> bool:
+    """Whether an edge of the graph on n vertices with these edges is a
+    bridge: a link, with no parallel twin, whose removal separates its
+    ends.  A loop is no bridge."""
+    for i, (u, v) in enumerate(edges):
+        if u != v and edges.count((u, v)) == 1:
+            adj = [0] * n
+            for x, y in edges[:i] + edges[i + 1:]:
+                adj[x] |= 1 << y
+                adj[y] |= 1 << x
+            if not _closure(adj, 1 << u) >> v & 1:
+                return True
+    return False
+
+
 def lattice_csv(g: Multigraph, max_edges: int = DEFAULT_MAX_EDGES) -> str:
     """CSV table of lattice points: one coordinate column per vertex, then
     multiplicity, is_vertex, is_interior.  The first two are read off the
     point's b-polynomial coefficient, the last off _interior_flags, or is
-    false on every row, with no tables, when a vertex has degree one
-    (strata._table_rows gives the proof)."""
+    false on every row, with no tables, when the graph has a bridge.  Let
+    the bridge split its component into A and B.  Then
+    D(A) + D(B) = e(A) + e(B) + 1, so D(A) > e(A) and D(B) > e(B) cannot
+    both hold.  The edge at a vertex of degree one is such a bridge."""
     points = lattice_points(g, max_edges)
     terms = _bpoly_terms(g)
     least = 1 << sum(u == v for u, v in g.edges)  # a vertex's coefficient
     bits = _key_bits(g.n_edges)
     encode, _ = _key_codec(g.n_vertices, bits)
     keys = [encode(d.values) for d in points]
-    if any(g.degree(v) == 1 for v in range(g.n_vertices)):
+    if _has_bridge(g.n_vertices, g.edges):
         interior = [False] * len(keys)
     else:
         interior = _interior_flags(keys, g.n_vertices, bits, _component_tables(g.n_vertices, g.edges))

@@ -1,12 +1,21 @@
 import gc
 import random
 from fractions import Fraction as F
-from itertools import permutations
+from itertools import permutations, product
 from math import gcd, prod
 
 import pytest
 from hypothesis import given, strategies as st
 
+from reference import (
+    cofactor_expansion,
+    int_poly_mul,
+    int_poly_neg,
+    poly_add,
+    poly_divmod,
+    poly_gcd,
+    poly_neg,
+)
 from spectral_strata import exact
 from spectral_strata.errors import StrataError
 from spectral_strata.exact import (
@@ -14,12 +23,9 @@ from spectral_strata.exact import (
     nullspace,
     parse_rational,
     poly,
-    poly_add,
     poly_content_free,
     poly_degree,
-    poly_divmod,
     poly_eval,
-    poly_gcd,
     poly_matrix_det,
     poly_matrix_kernel_vector,
     poly_mul,
@@ -303,8 +309,8 @@ class TestPolyMatrices:
     def test_expansion_gives_leibniz_det_and_adjugate_column(self, n):
         mat = random_rows(random.Random(n), n, n)
         for row in range(n):
-            total, column = exact.cofactor_expansion(
-                mat, row, (), poly([1]), poly_mul, poly_add, exact.poly_neg
+            total, column = cofactor_expansion(
+                mat, row, (), poly([1]), poly_mul, poly_add, poly_neg
             )
             assert total == leibniz_det(mat)
             assert column == leibniz_adjugate_column(mat, row)
@@ -314,7 +320,7 @@ class TestPolyMatrices:
         gc.disable()
         try:
             gc.collect()
-            exact.cofactor_expansion(mat, 0, (), poly([1]), poly_mul, poly_add, exact.poly_neg)
+            cofactor_expansion(mat, 0, (), poly([1]), poly_mul, poly_add, poly_neg)
             assert gc.collect() == 0
         finally:
             gc.enable()
@@ -355,23 +361,23 @@ class TestPolyMatrices:
             poly_matrix_kernel_vector(low)
 
     def test_kernel_runs_one_expansion(self, monkeypatch):
-        calls = {"expansion": 0, "det": 0}
-        expand, full_det = exact.cofactor_expansion, exact.poly_matrix_det
+        calls = {"elimination": 0, "det": 0}
+        eliminate, full_det = exact.bareiss, exact.poly_matrix_det
 
-        def counted_expansion(*args):
-            calls["expansion"] += 1
-            return expand(*args)
+        def counted_elimination(rows):
+            calls["elimination"] += 1
+            return eliminate(rows)
 
         def counted_det(matrix):
             calls["det"] += 1
             return full_det(matrix)
 
-        monkeypatch.setattr(exact, "cofactor_expansion", counted_expansion)
+        monkeypatch.setattr(exact, "bareiss", counted_elimination)
         monkeypatch.setattr(exact, "poly_matrix_det", counted_det)
         mat = rank_deficient(random.Random(4), 4, 1)
         assert any(leibniz_adjugate_column(mat, 0))
         poly_matrix_kernel_vector(mat)
-        assert calls == {"expansion": 1, "det": 0}
+        assert calls == {"elimination": 1, "det": 0}
 
     def test_kernel_of_singular_matrix(self):
         # rows are proportional: (x, x^2), (1, x)
@@ -448,8 +454,8 @@ class TestIntegerKernels:
         assert all(isinstance(c, int) for row in rows for p in row for c in p)
         product = prod(scales)
         for row in range(n):
-            total, column = exact.cofactor_expansion(
-                rows, row, (), (1,), exact.int_poly_mul, exact.int_poly_add, exact.int_poly_neg
+            total, column = cofactor_expansion(
+                rows, row, (), (1,), int_poly_mul, exact.int_poly_add, int_poly_neg
             )
             assert poly([F(c, product) for c in total]) == leibniz_det(mat)
             others = F(product, scales[row])
@@ -536,3 +542,125 @@ class TestIntegerKernels:
         matrix = [["1/2", "1/3", F(2, 7)], [1, "3/10", "5"]]
         assert rank(matrix) == 2
         assert len(calls) == 6
+
+
+def long_int_poly(rng, digits=100, degree=2):
+    """Integer coefficients of `digits` digits and both signs, some zero,
+    degree at most `degree`, possibly the zero polynomial."""
+    out = [
+        rng.choice((-1, 1, 0, 1, -1)) * rng.randrange(10 ** (digits - 1), 10**digits)
+        for _ in range(rng.randint(0, degree + 1))
+    ]
+    while out and not out[-1]:
+        out.pop()
+    return tuple(out)
+
+
+def int_rows_times(c, row):
+    return [int_poly_mul(c, e) for e in row]
+
+
+class TestPackedBareiss:
+    """exact.bareiss on packed matrices against the cofactor expansion and
+    the Leibniz sum, which share no code with it."""
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    @pytest.mark.parametrize("seed", range(2))
+    def test_det_matches_expansion_and_leibniz(self, n, seed):
+        rows = [[long_int_poly(random.Random(f"{n}-{seed}-{i}-{j}")) for j in range(n)] for i in range(n)]
+        bits, ints = exact.packed(rows)
+        rank, total, kernel = exact.bareiss(ints)
+        want, _ = cofactor_expansion(rows, 0, (), (1,), int_poly_mul, exact.int_poly_add, int_poly_neg)
+        assert exact.unpacked(total, bits) == want
+        assert all(abs(c) < 1 << bits - 1 for c in want)
+        if want:
+            assert (rank, kernel) == (n, None)
+        assert poly(want) == leibniz_det([[poly(e) for e in row] for row in rows])
+        rational = [[poly([F(c, 7) for c in e]) for e in row] for row in rows]
+        assert poly_matrix_det(rational) == poly([F(c, 7**n) for c in want])
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    @pytest.mark.parametrize("seed", range(2))
+    def test_kernel_matches_the_adjugate(self, n, seed):
+        rng = random.Random(100 * n + seed)
+        rows = [[long_int_poly(rng) for _ in range(n)] for _ in range(n - 1)]
+        last = [()] * n
+        for row in rows:
+            c = (rng.randint(-9, 9), rng.choice((-2, 1, 3)))
+            last = [exact.int_poly_add(a, b) for a, b in zip(last, int_rows_times(c, row))]
+        mat = rows + [last]
+        rng.shuffle(mat)
+        bits, ints = exact.packed(mat)
+        rank, total, kernel = exact.bareiss(ints)
+        assert (rank, total) == (n - 1, 0)
+        vector = [exact.unpacked(x, bits) for x in kernel]
+        for row in mat:
+            acc = ()
+            for a, b in zip(row, vector):
+                acc = exact.int_poly_add(acc, int_poly_mul(a, b))
+            assert acc == ()
+        columns = [
+            cofactor_expansion(mat, r, (), (1,), int_poly_mul, exact.int_poly_add, int_poly_neg)[1]
+            for r in range(n)
+        ]
+        column = next(c for c in columns if any(c))
+        got = exact.int_poly_matrix_kernel_vector(mat)
+        assert got == exact._content_free_ints(column) == exact._content_free_ints(vector)
+        rational = [[poly(e) for e in row] for row in mat]
+        assert poly_matrix_kernel_vector(rational) == reference_content_free(
+            leibniz_adjugate_column(rational, columns.index(column))
+        )
+
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_corank_two_keeps_the_message(self, n):
+        rng = random.Random(n)
+        rows = [[long_int_poly(rng) or (1,) for _ in range(n)] for _ in range(n - 2)]
+        mat = rows + [[()] * n, [()] * n]
+        for row in rows:
+            for k in (-2, -1):
+                c = (rng.randint(-9, 9), rng.choice((-2, 1, 3)))
+                mat[k] = [exact.int_poly_add(a, b) for a, b in zip(mat[k], int_rows_times(c, row))]
+        rng.shuffle(mat)
+        columns = [
+            cofactor_expansion(mat, r, (), (1,), int_poly_mul, exact.int_poly_add, int_poly_neg)[1]
+            for r in range(n)
+        ]
+        assert not any(any(c) for c in columns)
+        assert exact.bareiss(exact.packed(mat)[1])[:2] == (n - 2, 0)
+        with pytest.raises(StrataError, match="^adjugate vanishes: kernel dimension is at least two$"):
+            exact.int_poly_matrix_kernel_vector(mat)
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_char_poly_matches_bivariate_expansion(self, n, m):
+        from reference import biv_neg
+        from spectral_strata.matpoly import char_poly, matrix_polynomial
+
+        rng = random.Random(10 * n + m)
+
+        def entry():
+            num = rng.choice((-1, 1, 0)) * rng.randrange(10**99, 10**100)
+            return F(num, rng.choice((1, 3, 10**100 + 267)))
+
+        p = matrix_polynomial([[[entry() for _ in range(n)] for _ in range(n)] for _ in range(m + 1)])
+        entries = [
+            [{(k, 0): c for k, c in enumerate(p.entry_poly(i, j))} for j in range(n)] for i in range(n)
+        ]
+        for i in range(n):
+            entries[i][i][(0, 1)] = F(-1)
+        want, _ = cofactor_expansion(entries, 0, {}, {(0, 0): F(1)}, exact.biv_mul, exact.biv_add, biv_neg)
+        assert char_poly(p).terms == want
+
+    @pytest.mark.parametrize("degree", range(4))
+    def test_pack_round_trip_at_the_bound(self, degree):
+        rows = [[long_int_poly(random.Random(degree), digits=30)] * 2] * 2
+        bits, _ = exact.packed(rows)
+        top = (1 << bits - 1) - 1
+        for signs in product((-1, 0, 1), repeat=degree + 1):
+            coeffs = tuple(s * top for s in signs)
+            while coeffs and not coeffs[-1]:
+                coeffs = coeffs[:-1]
+            value = sum(c << bits * k for k, c in enumerate(coeffs))
+            assert exact.unpacked(value, bits) == coeffs
+            own_bits, [[own]] = exact.packed([[coeffs]])
+            assert exact.unpacked(own, own_bits) == coeffs

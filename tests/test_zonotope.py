@@ -355,3 +355,85 @@ class TestCsvDegreeRule:
         rows = lattice_csv(self.path(16)).splitlines()[1:]
         assert len(rows) == 2 ** 15
         assert {row.rsplit(",", 1)[1] for row in rows} == {str(f).lower() for f in flags} == {"false"}
+
+
+def _named(n, pairs):
+    vertices = [f"v{i + 1}" for i in range(n)]
+    return build_graph(vertices, [(vertices[u], vertices[v]) for u, v in pairs])
+
+
+def _cycle(k, start=0):
+    return [(start + i, start + (i + 1) % k) for i in range(k)]
+
+
+#: (name, vertex count, edges, has a bridge)
+BRIDGE_CASES = [
+    ("two triangles joined by an edge", 6, _cycle(3) + _cycle(3, 3) + [(0, 3)], True),
+    ("two squares joined by an edge", 8, _cycle(4) + _cycle(4, 4) + [(1, 5)], True),
+    ("two triangles joined by a doubled edge", 6, _cycle(3) + _cycle(3, 3) + [(0, 3), (0, 3)], False),
+    ("a triangle and a square sharing a vertex", 6, _cycle(3) + [(2, 3), (3, 4), (4, 5), (2, 5)], False),
+    ("a doubled edge with a loop at each end", 2, [(0, 1), (0, 1), (0, 0), (1, 1)], False),
+    ("an edge between two looped vertices", 2, [(0, 0), (0, 1), (1, 1)], True),
+    ("a triangle with a loop and an isolated looped vertex", 4, _cycle(3) + [(1, 1), (3, 3)], False),
+    ("a triangle and a pendant path with a loop", 5, _cycle(3) + [(2, 3), (3, 4), (4, 4)], True),
+    ("a 5-cycle with a chord", 5, _cycle(5) + [(0, 2)], False),
+    ("a 7-cycle", 7, _cycle(7), False),
+]
+
+
+class TestBridgeRuleAndSplitSums:
+    """lattice_csv's bridge rule and _interior_flags's split subset sums
+    against the subset-inequality oracle."""
+
+    @pytest.mark.parametrize("name, n, pairs, bridged", BRIDGE_CASES, ids=[c[0] for c in BRIDGE_CASES])
+    def test_flags_match_the_inequalities(self, name, n, pairs, bridged):
+        from spectral_strata.indegree import _interior_by_inequalities
+        from spectral_strata.zonotope import _has_bridge
+
+        g = _named(n, pairs)
+        assert _has_bridge(g.n_vertices, g.edges) is bridged
+        rows = lattice_csv(g).splitlines()[1:]
+        points = lattice_points(g)
+        assert len(rows) == len(points)
+        flags = [row.rsplit(",", 1)[1] == "true" for row in rows]
+        assert flags == [_interior_by_inequalities(g, d) for d in points]
+        if bridged:
+            assert not any(flags)
+
+    def test_bridge_builds_no_tables(self, monkeypatch):
+        from spectral_strata import indegree, zonotope
+
+        def no_tables(n, edges):
+            raise AssertionError("component tables built for a graph with a bridge")
+
+        g = _named(10, _cycle(5) + _cycle(5, 5) + [(0, 5)])
+        assert all(g.degree(v) >= 2 for v in range(g.n_vertices))
+        monkeypatch.setattr(indegree, "_component_tables", no_tables)
+        monkeypatch.setattr(zonotope, "_component_tables", no_tables)
+        rows = lattice_csv(g).splitlines()[1:]
+        assert len(rows) == len(lattice_points(g))
+        assert {row.rsplit(",", 1)[1] for row in rows} == {"false"}
+
+    @pytest.mark.parametrize("k", range(2, 10))
+    def test_split_sums_on_cycles_of_odd_and_even_length(self, k):
+        from spectral_strata.indegree import _interior_by_inequalities
+
+        g = _named(k, _cycle(k))
+        rows = lattice_csv(g).splitlines()[1:]
+        flags = [row.rsplit(",", 1)[1] == "true" for row in rows]
+        assert flags == [_interior_by_inequalities(g, d) for d in lattice_points(g)]
+        # a cycle's one interior point: every vertex heads one edge
+        assert [d.values for d, flag in zip(lattice_points(g), flags) if flag] == [(1,) * k]
+
+    def test_fourteen_cycle_csv_peak(self):
+        import tracemalloc
+
+        g = _named(14, _cycle(14))
+        tracemalloc.start()
+        try:
+            rows = lattice_csv(g, max_edges=14).splitlines()[1:]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(rows) == 2**14 - 1
+        assert peak < 64 * 2**20
