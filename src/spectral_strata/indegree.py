@@ -342,7 +342,7 @@ def _interior_flags(keys: Sequence[int], n: int, bits: int, tables) -> list[bool
     half of a component's members and over the high half are kept apart,
     and D(S) is the sum of one of each, made in the order of S: 2^(k/2)
     lane integers are held at once, not 2^k.  Each g - 1 - inside[S] in
-    every lane is made once per edge count."""
+    every lane is made once per distinct inside[S]."""
     size, width = bits // 8, n * bits // 8
     if width <= 8:
         stride, raw = 8, struct.pack(f"<{len(keys)}Q", *keys)
@@ -368,7 +368,7 @@ def _interior_flags(keys: Sequence[int], n: int, bits: int, tables) -> list[bool
         low, high = _subset_sums(cols[:half]), _subset_sums(cols[half:])
         sums = (h + l for h in high for l in low)
         next(sums)  # the empty set
-        offset = [(guard - 1 - count) * ones for count in range(inside[-1] + 1)]
+        offset = {count: (guard - 1 - count) * ones for count in set(inside[1:-1])}
         for count, total in zip(inside[1:-1], sums):
             flags &= total + offset[count]
     lanes = (flags >> 2 * bits - 1).to_bytes(2 * size * len(keys), "little")

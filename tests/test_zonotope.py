@@ -437,3 +437,32 @@ class TestBridgeRuleAndSplitSums:
             tracemalloc.stop()
         assert len(rows) == 2**14 - 1
         assert peak < 64 * 2**20
+
+    def test_parallel_edges_keep_the_flags_small(self):
+        import tracemalloc
+
+        from spectral_strata import Divisor
+        from spectral_strata.indegree import (
+            _bpoly_terms,
+            _component_tables,
+            _decoder,
+            _interior_by_inequalities,
+            _interior_flags,
+            _key_bits,
+        )
+
+        # about 6,000 lattice points, each lane integer about 24 KB: a table
+        # per edge count (1,503 counts) would hold 36 MB
+        g = _named(3, [(0, 1)] * 1500 + [(1, 2), (0, 2)])
+        keys = sorted(_bpoly_terms(g))
+        tables = _component_tables(g.n_vertices, g.edges)
+        tracemalloc.start()
+        try:
+            flags = _interior_flags(keys, g.n_vertices, _key_bits(g.n_edges), tables)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
+        decode = _decoder(g)
+        assert flags[::25] == [_interior_by_inequalities(g, Divisor(g.vertices, decode(k))) for k in keys[::25]]
+        assert any(flags)
